@@ -8,9 +8,10 @@ is a left-endpoint Riemann sum with uniform weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "disjoint",
     "measure_intersection",
     "enumerate_dyadic",
+    "shape_groups",
     "tensor",
 ]
 
@@ -90,17 +92,13 @@ class DyadicRectangle:
         return f"R({self.x}x{self.y})"
 
 
-def rect_contains(a: DyadicRectangle, b: DyadicRectangle) -> bool:
-    return contains(a.x, b.x) and contains(a.y, b.y)
-
-
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid on [x0, x0 + 2^box_exp) with 2^res_exp points per unit."""
+    """Uniform periodic grid on [0, 2^box_exp) with 2^res_exp points per unit;
+    cell i is [i 2^-res_exp, (i+1) 2^-res_exp), so cell ranges are integer shifts."""
 
     box_exp: int
     res_exp: int
-    x0: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.res_exp < 0:
@@ -120,14 +118,12 @@ class Grid1D:
 
     def points(self) -> np.ndarray:
         """Left endpoints of the grid cells, as floats."""
-        w = float(self.cell_width)
-        return float(self.x0) + w * np.arange(self.n_points)
+        return float(self.cell_width) * np.arange(self.n_points)
 
     def cell_of(self, x) -> int:
         """Index of the grid cell containing the point x."""
-        off = (Fraction(x) - self.x0) / self.cell_width
-        idx = int(off)  # floor for nonnegative
-        if off < 0 or idx >= self.n_points:
+        idx = math.floor(x * 2 ** self.res_exp)  # exact for floats and Fractions
+        if idx < 0 or idx >= self.n_points:
             raise DomainError(f"point {x} outside domain")
         return idx
 
@@ -137,21 +133,16 @@ class Grid1D:
         Raises ResolutionError if the interval is not a union of grid cells and
         DomainError if it is not contained in the domain.
         """
-        if interval.k < -self.res_exp:
+        s = interval.k + self.res_exp
+        if s < 0:
             raise ResolutionError(
                 f"{interval} finer than grid resolution 2^-{self.res_exp}")
-        lo = (interval.left - self.x0) / self.cell_width
-        hi = (interval.right - self.x0) / self.cell_width
-        if lo.denominator != 1 or hi.denominator != 1:
-            raise ResolutionError(f"{interval} is not a union of grid cells")
-        a, b = int(lo), int(hi)
+        a, b = interval.n << s, (interval.n + 1) << s
         if a < 0 or b > self.n_points:
             raise DomainError(f"{interval} outside domain")
         return a, b
 
     def full_interval(self) -> DyadicInterval:
-        if self.x0 != 0:
-            raise DomainError("full_interval assumes x0 = 0")
         return DyadicInterval(self.box_exp, 0)
 
 
@@ -171,10 +162,6 @@ class GridFunction1D:
     @classmethod
     def zeros(cls, grid: Grid1D) -> "GridFunction1D":
         return cls(grid, np.zeros(grid.n_points))
-
-    @classmethod
-    def from_callable(cls, grid: Grid1D, fn) -> "GridFunction1D":
-        return cls(grid, np.asarray(fn(grid.points()), dtype=float))
 
     @classmethod
     def indicator(cls, grid: Grid1D, intervals: Iterable[DyadicInterval]) -> "GridFunction1D":
@@ -197,11 +184,6 @@ class GridFunction1D:
     def restrict(self, interval: DyadicInterval) -> np.ndarray:
         a, b = self.grid.cell_range(interval)
         return self.samples[a:b]
-
-    def measure_above(self, level: float) -> float:
-        """Measure of {|f| > level}, exact on the grid."""
-        return float(np.count_nonzero(np.abs(self.samples) > level)
-                     * float(self.grid.cell_width))
 
 
 @dataclass
@@ -234,7 +216,7 @@ class GridFunction2D:
 
     @property
     def cell_area(self) -> float:
-        return float(self.grid_x.cell_width) * float(self.grid_y.cell_width)
+        return math.ldexp(1.0, -(self.grid_x.res_exp + self.grid_y.res_exp))
 
     def integral(self) -> float:
         return float(np.sum(self.samples) * self.cell_area)
@@ -244,9 +226,6 @@ class GridFunction2D:
         if p == np.inf:
             return float(a.max(initial=0.0))
         return float((np.sum(a ** p) * self.cell_area) ** (1.0 / p))
-
-    def measure_above(self, level: float) -> float:
-        return float(np.count_nonzero(np.abs(self.samples) > level) * self.cell_area)
 
     def restrict(self, rect: DyadicRectangle) -> np.ndarray:
         a, b = self.grid_x.cell_range(rect.x)
@@ -269,24 +248,28 @@ def measure_intersection(interval: DyadicInterval, indicator: GridFunction1D) ->
     return count * indicator.grid.cell_width
 
 
-def enumerate_dyadic(domain: Grid1D | tuple[int, Fraction], k_min: int,
-                     k_max: int) -> list[DyadicInterval]:
-    """All dyadic subintervals of the domain with scales in [k_min, k_max].
-
-    The domain is a Grid1D (its resolution is ignored here) or a pair
-    (box_exp, x0); x0 must itself be dyadic so positions stay integral.
-    """
+def enumerate_dyadic(domain: Grid1D, k_min: int, k_max: int) -> list[DyadicInterval]:
+    """All dyadic subintervals of the grid's box with scales in [k_min, k_max]
+    (the grid's resolution is ignored here), coarsest scale first."""
     if k_min > k_max:
         raise ValueError("k_min must be <= k_max")
-    if isinstance(domain, Grid1D):
-        box_exp, x0 = domain.box_exp, domain.x0
-    else:
-        box_exp, x0 = domain
     out: list[DyadicInterval] = []
-    for k in range(min(k_max, box_exp), k_min - 1, -1):
-        base = (Fraction(x0) / (Fraction(2) ** k))
-        if base.denominator != 1:
-            raise ValueError("domain origin is not aligned at scale k")
-        n0 = int(base)
-        out.extend(DyadicInterval(k, n0 + j) for j in range(2 ** (box_exp - k)))
+    for k in range(min(k_max, domain.box_exp), k_min - 1, -1):
+        out.extend(DyadicInterval(k, n) for n in range(2 ** (domain.box_exp - k)))
     return out
+
+
+def shape_groups(rectangles: Sequence[DyadicRectangle]
+                 ) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The rectangles grouped by shape (x scale, y scale).
+
+    Each shape maps to (idx, nx, ny): the rectangles' positions in the
+    sequence, in increasing order, and their x and y interval positions.
+    """
+    table = np.array([(r.x.k, r.y.k, r.x.n, r.y.n) for r in rectangles],
+                     dtype=np.int64).reshape(-1, 4)
+    key = table[:, 0] * (1 << 32) + table[:, 1]  # orders shapes as (kx, ky) pairs
+    order = np.argsort(key, kind="stable")
+    parts = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    return {(int(table[i[0], 0]), int(table[i[0], 1])): (i, table[i, 2], table[i, 3])
+            for i in parts if i.size}

@@ -11,6 +11,7 @@ import numpy as np
 from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
                      GridFunction2D, contains, disjoint, enumerate_dyadic,
                      measure_intersection)
+from .harness import _rng
 from .models import (BilinearBlockSpec, ModelOperatorSpec,
                      energy_localization_check, local_size_bound_check,
                      model_operator, oracle_model_operator)
@@ -24,10 +25,6 @@ from .stopping import (build_exceptional_set, check_index_observation_I,
                        sparsity_check_2d, tensor_decomposition_I)
 from .wavelets import (CoefficientSequence, HAAR_LACUNARY, HAAR_NONLACUNARY,
                        all_coefficients, coefficient_naive, haar_pyramid)
-
-
-def _rng(seed):
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 def run_all(config) -> list[dict]:

@@ -16,18 +16,19 @@ coefficient of h; the output is a linear combination of tensor members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .dyadic import (DyadicInterval, DyadicRectangle, GridFunction1D,
-                     GridFunction2D, contains)
+                     GridFunction2D, contains, shape_groups)
 from .errors import ConfigError
 from .size_energy import size
 from .wavelets import (CutoffFamily, CoefficientSequence, all_coefficients,
-                       coefficient_naive, haar_pyramid, haar_pyramid_2d,
-                       haar_coefficient_2d, HAAR_LACUNARY, HAAR_NONLACUNARY,
+                       coefficient_naive, haar_gather_2d, haar_pyramid,
+                       haar_pyramid_2d, HAAR_LACUNARY, HAAR_NONLACUNARY,
                        SMOOTH_LACUNARY, SMOOTH_NONLACUNARY)
 
 __all__ = [
@@ -118,12 +119,13 @@ def bilinear_block(spec: BilinearBlockSpec, v1: GridFunction1D,
     c2 = all_coefficients(v2, qs, f2)
     absolute = spec.variant == "localized_nonlac"
     for q in qs:
-        w = c1[q] * c2[q] / float(q.length) ** 0.5
+        w = c1[q] * c2[q] / math.ldexp(1.0, q.k) ** 0.5
         if w == 0.0:
             continue
         member = f3.member(q, grid)
         if absolute:
-            out += abs(c1[q]) * abs(c2[q]) / float(q.length) ** 0.5 * np.abs(member)
+            out += (abs(c1[q]) * abs(c2[q]) / math.ldexp(1.0, q.k) ** 0.5
+                    * np.abs(member))
         else:
             out += w * member
     return GridFunction1D(grid, out)
@@ -257,7 +259,7 @@ def _haar_block_outer_coeffs(inner: Sequence[DyadicInterval], families,
     c2 = all_coefficients(v2, inner, families[1])
     contrib: dict[int, np.ndarray] = {}
     for q in inner:
-        w = c1[q] * c2[q] / float(q.length) ** 0.5
+        w = c1[q] * c2[q] / math.ldexp(1.0, q.k) ** 0.5
         if w == 0.0:
             continue
         arr = contrib.setdefault(q.k, np.zeros(grid.n_points))
@@ -315,7 +317,7 @@ def _y_coefficients(spec: ModelOperatorSpec, ys: Sequence[DyadicInterval],
         g1c = all_coefficients(g1, ys, spec.y_para[0])
         g2c = all_coefficients(g2, ys, spec.y_para[1])
         y_factor = {J: g1c[J] * g2c[J] for J in ys}
-        norm_y = {J: 1.0 / float(J.length) for J in ys}
+        norm_y = {J: 1.0 / math.ldexp(1.0, J.k) for J in ys}
         return y_factor, norm_y, spec.y_para[1], spec.y_para[2]
     if _axis_all_haar(spec, "y"):
         mode = "fixed_scale" if spec.y_fixed_scale else "local"
@@ -324,7 +326,7 @@ def _y_coefficients(spec: ModelOperatorSpec, ys: Sequence[DyadicInterval],
     else:
         cache: dict = {}
         by = {J: _block_coefficient(spec, "y", J, g1, g2, cache) for J in ys}
-    norm_y = {J: 1.0 / float(J.length) ** 0.5 for J in ys}
+    norm_y = {J: 1.0 / math.ldexp(1.0, J.k) ** 0.5 for J in ys}
     return by, norm_y, spec.y_outer[1], spec.y_outer[2]
 
 
@@ -351,7 +353,8 @@ def model_operator(spec: ModelOperatorSpec, f1: GridFunction1D, f2: GridFunction
     acc = np.zeros((gx.n_points, gy.n_points))
     for r in spec.rectangles:
         hc = float(np.dot(h_x_members[r.x], partial[r.y]))
-        coef = (bx[r.x] / float(r.x.length) ** 0.5) * y_factor[r.y] * norm_y[r.y] * hc
+        coef = (bx[r.x] / math.ldexp(1.0, r.x.k) ** 0.5) * y_factor[r.y] * norm_y[r.y] \
+            * hc
         if coef == 0.0:
             continue
         acc += coef * np.outer(out_x_members[r.x], out_y_members[r.y])
@@ -378,15 +381,15 @@ def oracle_model_operator(spec: ModelOperatorSpec, f1, f2, g1, g2, h,
         for q in bspec.qualifying():
             a1 = float(np.sum(f1.samples * bspec.families[0].member(q, gx)) * wx)
             a2 = float(np.sum(f2.samples * bspec.families[1].member(q, gx)) * wx)
-            block_vals = block_vals + (a1 * a2 / float(q.length) ** 0.5) \
+            block_vals = block_vals + (a1 * a2 / math.ldexp(1.0, q.k) ** 0.5) \
                 * bspec.families[2].member(q, gx)
         x_coef = float(np.sum(block_vals * spec.x_outer[0].member(I, gx)) * wx)
-        x_coef /= float(I.length) ** 0.5
+        x_coef /= math.ldexp(1.0, I.k) ** 0.5
 
         if spec.paraproduct_y:
             b1 = float(np.sum(g1.samples * spec.y_para[0].member(J, gy)) * wy)
             b2 = float(np.sum(g2.samples * spec.y_para[1].member(J, gy)) * wy)
-            y_coef = b1 * b2 / float(J.length)
+            y_coef = b1 * b2 / math.ldexp(1.0, J.k)
             h_y = spec.y_para[1].member(J, gy)
             out_y = spec.y_para[2].member(J, gy)
         else:
@@ -395,10 +398,10 @@ def oracle_model_operator(spec: ModelOperatorSpec, f1, f2, g1, g2, h,
             for q in yspec.qualifying():
                 a1 = float(np.sum(g1.samples * yspec.families[0].member(q, gy)) * wy)
                 a2 = float(np.sum(g2.samples * yspec.families[1].member(q, gy)) * wy)
-                blk = blk + (a1 * a2 / float(q.length) ** 0.5) \
+                blk = blk + (a1 * a2 / math.ldexp(1.0, q.k) ** 0.5) \
                     * yspec.families[2].member(q, gy)
             y_coef = float(np.sum(blk * spec.y_outer[0].member(J, gy)) * wy)
-            y_coef /= float(J.length) ** 0.5
+            y_coef /= math.ldexp(1.0, J.k) ** 0.5
             h_y = spec.y_outer[1].member(J, gy)
             out_y = spec.y_outer[2].member(J, gy)
 
@@ -423,24 +426,30 @@ def multilinear_form(spec: ModelOperatorSpec, f1, f2, g1, g2, h,
         out = model_operator(spec, f1, f2, g1, g2, h)
         return float(np.sum(out.samples * dual.samples) * out.cell_area)
 
-    xs = sorted({r.x for r in spec.rectangles})
-    ys = sorted({r.y for r in spec.rectangles})
+    rectangles = spec.rectangles
+    xs = sorted({r.x for r in rectangles})
+    ys = sorted({r.y for r in rectangles})
     bx = _x_coefficients(spec, xs, f1, f2)
     y_factor, norm_y, h_y_family, out_y_family = _y_coefficients(spec, ys, g1, g2)
-    h_x_lac = spec.x_outer[1].lacunary
-    out_x_lac = spec.x_outer[2].lacunary
-    h_y_lac = h_y_family.lacunary
-    out_y_lac = out_y_family.lacunary
-    hp = haar_pyramid_2d(h)
-    dp = haar_pyramid_2d(dual)
+    x_factor = {I: bx[I] / math.ldexp(1.0, I.k) ** 0.5 for I in xs}
+    coef = (np.array([x_factor[r.x] for r in rectangles])
+            * np.array([y_factor[r.y] for r in rectangles])
+            * np.array([norm_y[r.y] for r in rectangles]))
+    groups = shape_groups(rectangles)
+    k_min = np.min(list(groups), axis=0) - 1  # halves of the finest shapes
+    hp = haar_pyramid_2d(h, k_min)
+    dp = haar_pyramid_2d(dual, k_min)
+    terms = np.zeros(len(rectangles))
+    for shape, (idx, nx, ny) in groups.items():
+        hc = haar_gather_2d(hp, shape, nx, ny, spec.x_outer[1].lacunary,
+                            h_y_family.lacunary)
+        dc = haar_gather_2d(dp, shape, nx, ny, spec.x_outer[2].lacunary,
+                            out_y_family.lacunary)
+        terms[idx] = coef[idx] * hc * dc
+    terms[coef == 0.0] = 0.0  # a vanishing coefficient contributes nothing
     total = 0.0
-    for r in spec.rectangles:
-        coef = bx[r.x] / float(r.x.length) ** 0.5 * y_factor[r.y] * norm_y[r.y]
-        if coef == 0.0:
-            continue
-        hc = haar_coefficient_2d(hp, r, h_x_lac, h_y_lac)
-        dc = haar_coefficient_2d(dp, r, out_x_lac, out_y_lac)
-        total += coef * hc * dc
+    for t in terms.tolist():  # in rectangle order, as a plain running sum
+        total += t
     return total
 
 
@@ -475,9 +484,9 @@ def local_size_bound_check(block_spec: BilinearBlockSpec, v1: GridFunction1D,
     if not meeting:
         return lhs, 0.0
     s1 = max(abs(coefficient_naive(v1, q, block_spec.families[0]))
-             / float(q.length) ** 0.5 for q in meeting)
+             / math.ldexp(1.0, q.k) ** 0.5 for q in meeting)
     s2 = max(abs(coefficient_naive(v2, q, block_spec.families[1]))
-             / float(q.length) ** 0.5 for q in meeting)
+             / math.ldexp(1.0, q.k) ** 0.5 for q in meeting)
     return lhs, s1 * s2
 
 

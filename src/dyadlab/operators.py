@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
-                     GridFunction2D)
-from .errors import ConfigError
-from .wavelets import (CutoffFamily, CoefficientSequence, all_coefficients,
-                       all_coefficients_2d, haar_coefficient_2d,
-                       haar_pyramid_2d, HAAR_LACUNARY, HAAR_NONLACUNARY,
-                       SMOOTH_LACUNARY, SMOOTH_NONLACUNARY)
+                     GridFunction2D, enumerate_dyadic, shape_groups)
+from .errors import ConfigError, DomainError, ResolutionError
+from .wavelets import (CutoffFamily, all_coefficients, all_coefficients_2d,
+                       block_sums, haar_gather_2d, haar_pyramid_2d,
+                       HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
+                       SMOOTH_NONLACUNARY)
 
 __all__ = [
     "HybridKind",
@@ -38,32 +39,18 @@ class HybridKind(str, Enum):
     MM = "MM"
 
 
-def _scale_averages(f: GridFunction1D) -> dict[int, np.ndarray]:
-    """Average of |f| over every dyadic block, per scale."""
-    g = f.grid
-    out: dict[int, np.ndarray] = {}
-    cur = np.abs(f.samples).astype(float)
-    k = -g.res_exp
-    out[k] = cur
-    while k < g.box_exp:
-        cur = 0.5 * (cur[0::2] + cur[1::2])
-        k += 1
-        out[k] = cur
-    return out
-
-
 def maximal_function(f: GridFunction1D) -> GridFunction1D:
     """Dyadic Hardy-Littlewood maximal function on the whole grid.
 
     The supremum runs over all dyadic subintervals of the box, from single
-    grid cells up to the box itself.
+    grid cells up to the box itself, as the recurrence from the box down
+    best_i = max(avg_i, up(best_{i+1})) over blocks of 2^i cells.
     """
-    averages = _scale_averages(f)
-    n = f.grid.n_points
-    best = np.zeros(n)
-    for k, avg in averages.items():
-        reps = n // avg.shape[0]
-        np.maximum(best, np.repeat(avg, reps), out=best)
+    levels = f.grid.box_exp + f.grid.res_exp
+    sums = block_sums(np.abs(f.samples).astype(float), 0, levels)
+    best = sums[levels] * math.ldexp(1.0, -levels)
+    for i in range(levels - 1, -1, -1):
+        best = np.maximum(sums[i] * math.ldexp(1.0, -i), np.repeat(best, 2))
     return GridFunction1D(f.grid, best)
 
 
@@ -72,27 +59,30 @@ def maximal_1d(f: GridFunction1D, x) -> float:
     return float(maximal_function(f).samples[f.grid.cell_of(x)])
 
 
-def _scale_averages_2d(h: GridFunction2D) -> dict[tuple[int, int], np.ndarray]:
-    """Average of |h| over every dyadic rectangle shape (kx, ky)."""
-    gx, gy = h.grid_x, h.grid_y
-    rows: dict[int, np.ndarray] = {}
-    cur = np.abs(h.samples).astype(float)
-    kx = -gx.res_exp
-    rows[kx] = cur
-    while kx < gx.box_exp:
-        cur = 0.5 * (cur[0::2, :] + cur[1::2, :])
-        kx += 1
-        rows[kx] = cur
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for kx, arr in rows.items():
-        cur = arr
-        ky = -gy.res_exp
-        out[(kx, ky)] = cur
-        while ky < gy.box_exp:
-            cur = 0.5 * (cur[:, 0::2] + cur[:, 1::2])
-            ky += 1
-            out[(kx, ky)] = cur
-    return out
+def _strong_maximal_full(a: np.ndarray) -> np.ndarray:
+    """sup over all dyadic rectangles of the box of the average of a >= 0.
+
+    best[i, j] on blocks of 2^i x 2^j cells is max(avg[i, j],
+    up_x(best[i+1, j]), up_y(best[i, j+1])), swept one x level at a time from
+    the box down, so only two x levels of best are alive at once.
+    """
+    rows = block_sums(a, 0, a.shape[0].bit_length() - 1)
+    ly = a.shape[1].bit_length() - 1
+    above = None  # best on the x level above, per y level
+    for i in range(len(rows) - 1, -1, -1):
+        cur = block_sums(rows.pop(), 1, ly)
+        for j in range(ly, -1, -1):
+            b = cur[j]
+            b *= math.ldexp(1.0, -(i + j))
+            m, n = b.shape
+            if above is not None:
+                np.maximum(b.reshape(m // 2, 2, n), above[j][:, None, :],
+                           out=b.reshape(m // 2, 2, n))
+            if j < ly:
+                np.maximum(b.reshape(m, n // 2, 2), cur[j + 1][:, :, None],
+                           out=b.reshape(m, n // 2, 2))
+        above = cur
+    return above[0]
 
 
 def maximal_function_2d(h: GridFunction2D,
@@ -101,24 +91,21 @@ def maximal_function_2d(h: GridFunction2D,
     """Dyadic strong maximal function MM.
 
     With rectangles=None the supremum runs over all dyadic rectangles of the
-    box (the default used for exceptional-set enlargements); otherwise only
-    over the rectangles of the given collection containing the point.
+    box (the default used for exceptional-set enlargements), by a
+    max-recurrence over the (kx, ky) scale lattice that visits each shape
+    once at its own resolution; otherwise only over the rectangles of the
+    given collection containing the point.
     """
-    nx, ny = h.grid_x.n_points, h.grid_y.n_points
     if rectangles is None:
-        best = np.zeros((nx, ny))
-        for (kx, ky), avg in _scale_averages_2d(h).items():
-            rx = nx // avg.shape[0]
-            ry = ny // avg.shape[1]
-            np.maximum(best, np.repeat(np.repeat(avg, rx, axis=0), ry, axis=1),
-                       out=best)
+        best = _strong_maximal_full(np.abs(h.samples).astype(float))
         return GridFunction2D(h.grid_x, h.grid_y, best)
-    best = np.zeros((nx, ny))
+    best = np.zeros((h.grid_x.n_points, h.grid_y.n_points))
     area = h.cell_area
     for r in rectangles:
         a, b = h.grid_x.cell_range(r.x)
         c, d = h.grid_y.cell_range(r.y)
-        avg = float(np.abs(h.samples[a:b, c:d]).sum()) * area / float(r.area)
+        avg = (float(np.abs(h.samples[a:b, c:d]).sum()) * area
+               / math.ldexp(1.0, r.x.k + r.y.k))
         np.maximum(best[a:b, c:d], avg, out=best[a:b, c:d])
     return GridFunction2D(h.grid_x, h.grid_y, best)
 
@@ -132,23 +119,8 @@ def square_1d(f: GridFunction1D, collection: Sequence[DyadicInterval],
     acc = np.zeros(f.grid.n_points)
     for iv, c in coeffs.items():
         a, b = f.grid.cell_range(iv)
-        acc[a:b] += abs(c) ** 2 / float(iv.length)
+        acc[a:b] += abs(c) ** 2 / math.ldexp(1.0, iv.k)
     return GridFunction1D(f.grid, np.sqrt(acc))
-
-
-def square_from_sequence(seq: CoefficientSequence, grid: Grid1D,
-                         members: Iterable[DyadicInterval] | None = None
-                         ) -> GridFunction1D:
-    """Square function built from a given coefficient sequence."""
-    acc = np.zeros(grid.n_points)
-    keys = seq.collection if members is None else members
-    for iv in keys:
-        c = seq[iv]
-        if c == 0.0:
-            continue
-        a, b = grid.cell_range(iv)
-        acc[a:b] += abs(c) ** 2 / float(iv.length)
-    return GridFunction1D(grid, np.sqrt(acc))
 
 
 def _hybrid_families(kind: HybridKind,
@@ -169,11 +141,42 @@ def _hybrid_families(kind: HybridKind,
     return fx, fy
 
 
+def _square_sum_2d(gx: Grid1D, gy: Grid1D, groups: dict, coeffs: np.ndarray
+                   ) -> np.ndarray:
+    """(sum_R |c_R|^2 / |R| chi_R)^(1/2), assembled one rectangle shape at a time.
+
+    Each shape scatters |c|^2 2^-(kx+ky) into a coarse array that is added at
+    the resolution of its x scale; the sum is refined in x between x scales.
+    Shapes run coarse to fine, so on the full pyramid every cell adds its
+    terms in the order of the rectangle list."""
+    acc = np.zeros((1, gy.n_points))
+    for kx, ky in sorted(groups, reverse=True):
+        idx, nx, ny = groups[(kx, ky)]
+        i, j = kx + gx.res_exp, ky + gy.res_exp
+        if min(i, j) < 0:
+            raise ResolutionError(f"rectangles of shape {(kx, ky)} finer than the grid")
+        coarse = np.zeros((gx.n_points >> i, gy.n_points >> j))
+        if min(nx.min(), ny.min()) < 0 or nx.max() >= coarse.shape[0] \
+                or ny.max() >= coarse.shape[1]:
+            raise DomainError(f"rectangles of shape {(kx, ky)} outside the domain")
+        if acc.shape[0] < coarse.shape[0]:
+            acc = np.repeat(acc, coarse.shape[0] // acc.shape[0], axis=0)
+        np.add.at(coarse, (nx, ny),
+                  np.abs(coeffs[idx]) ** 2 * math.ldexp(1.0, -(kx + ky)))
+        acc.reshape(acc.shape[0], -1, 1 << j)[...] += coarse[:, :, None]
+    return np.sqrt(np.repeat(acc, gx.n_points // acc.shape[0], axis=0))
+
+
 def hybrid_2d(h: GridFunction2D, kind: HybridKind,
               rectangles: Sequence[DyadicRectangle],
               families: tuple[CutoffFamily, CutoffFamily] | None = None
               ) -> GridFunction2D:
-    """The 2D hybrid operators SS, (SS)^H, MS, (MS)^H, SM, (SM)^H and MM."""
+    """The 2D hybrid operators SS, (SS)^H, MS, (MS)^H, SM, (SM)^H and MM.
+
+    For Haar families the coefficients are gathered per rectangle shape from
+    one 2D block-sum pyramid.  SS and (SS)^H are assembled per shape as well;
+    MS and SM loop over the rectangles.
+    """
     kind = HybridKind(kind)
     if kind in (HybridKind.M, HybridKind.S):
         raise ConfigError(f"{kind.value} is one-dimensional; use the 1d entry points")
@@ -181,36 +184,36 @@ def hybrid_2d(h: GridFunction2D, kind: HybridKind,
         return maximal_function_2d(h, rectangles)
 
     fx, fy = _hybrid_families(kind, families)
+    rectangles = tuple(rectangles)
+    groups = shape_groups(rectangles)
     if fx.haar and fy.haar:
-        pyr = haar_pyramid_2d(h)
-        data = {r: haar_coefficient_2d(pyr, r, fx.lacunary, fy.lacunary)
-                for r in rectangles}
-        coeffs = CoefficientSequence(data, tuple(rectangles))
+        # halves of the finest shapes are the finest blocks read
+        pyr = haar_pyramid_2d(h, np.min(list(groups), axis=0) - 1) if groups else {}
+        coeffs = np.zeros(len(rectangles))
+        for s, (idx, nx, ny) in groups.items():
+            coeffs[idx] = haar_gather_2d(pyr, s, nx, ny, fx.lacunary, fy.lacunary)
     else:
-        coeffs = all_coefficients_2d(h, rectangles, fx, fy)
+        seq = all_coefficients_2d(h, rectangles, fx, fy)
+        coeffs = np.array([seq[r] for r in rectangles])
     gx, gy = h.grid_x, h.grid_y
     base = kind.value[:-2] if kind.value.endswith("_H") else kind.value
 
     if base == "SS":
-        acc = np.zeros((gx.n_points, gy.n_points))
-        for r, c in coeffs.items():
-            a, b = gx.cell_range(r.x)
-            cc, d = gy.cell_range(r.y)
-            acc[a:b, cc:d] += abs(c) ** 2 / float(r.area)
-        return GridFunction2D(gx, gy, np.sqrt(acc))
+        return GridFunction2D(gx, gy, _square_sum_2d(gx, gy, groups, coeffs))
 
+    pairs = list(zip(rectangles, coeffs.tolist()))
     xs = sorted({r.x for r in rectangles})
     if base == "MS":
         # sup_I |I|^{-1/2} (sum_J |<h, phi_I x psi_J>|^2 / |J| chi_J(y))^{1/2} chi_I(x)
         best = np.zeros((gx.n_points, gy.n_points))
         for I in xs:
             acc = np.zeros(gy.n_points)
-            for r, c in coeffs.items():
+            for r, c in pairs:
                 if r.x != I:
                     continue
                 cc, d = gy.cell_range(r.y)
-                acc[cc:d] += abs(c) ** 2 / float(r.y.length)
-            vals = np.sqrt(acc) / float(I.length) ** 0.5
+                acc[cc:d] += abs(c) ** 2 / math.ldexp(1.0, r.y.k)
+            vals = np.sqrt(acc) / math.ldexp(1.0, I.k) ** 0.5
             a, b = gx.cell_range(I)
             np.maximum(best[a:b, :], vals[None, :], out=best[a:b, :])
         return GridFunction2D(gx, gy, best)
@@ -220,19 +223,18 @@ def hybrid_2d(h: GridFunction2D, kind: HybridKind,
     acc = np.zeros((gx.n_points, gy.n_points))
     for I in xs:
         inner = np.zeros(gy.n_points)
-        for r, c in coeffs.items():
+        for r, c in pairs:
             if r.x != I:
                 continue
             cc, d = gy.cell_range(r.y)
-            np.maximum(inner[cc:d], abs(c) / float(r.y.length), out=inner[cc:d])
+            np.maximum(inner[cc:d], abs(c) / math.ldexp(1.0, r.y.k), out=inner[cc:d])
         a, b = gx.cell_range(I)
-        acc[a:b, :] += inner[None, :] / float(I.length)
+        acc[a:b, :] += inner[None, :] / math.ldexp(1.0, I.k)
     return GridFunction2D(gx, gy, np.sqrt(acc))
 
 
 def _full_rectangle_pyramid(gx: Grid1D, gy: Grid1D, k_min_x: int, k_min_y: int
                             ) -> list[DyadicRectangle]:
-    from .dyadic import enumerate_dyadic
     xs = enumerate_dyadic(gx, k_min_x, gx.box_exp)
     ys = enumerate_dyadic(gy, k_min_y, gy.box_exp)
     return [DyadicRectangle(i, j) for i in xs for j in ys]
@@ -254,14 +256,14 @@ def estimate_operator_norm(kind: HybridKind, p: float, trials: int, seed: int,
         raise ConfigError(f"p = inf is only admitted for M and MM, not {kind.value}")
     if not (1.0 < p) and p != np.inf:
         raise ConfigError("need 1 < p")
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    from .harness import _rng
+    rng = _rng(seed)
     gx = Grid1D(box_exp, res_exp)
     gy = Grid1D(box_exp, res_exp)
     one_dim = kind in (HybridKind.M, HybridKind.S)
     if not one_dim and rectangles is None:
         k_min = 1 - res_exp  # halves of every rectangle stay resolvable
         rectangles = _full_rectangle_pyramid(gx, gy, k_min, k_min)
-    from .dyadic import enumerate_dyadic
     intervals = enumerate_dyadic(gx, 1 - res_exp, box_exp)
     best = 0.0
     for _ in range(trials):

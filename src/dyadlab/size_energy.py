@@ -64,7 +64,7 @@ def local_square_function(seq: CoefficientSequence, top: DyadicInterval,
         if c == 0.0 or not contains(top, iv):
             continue
         a, b = grid.cell_range(iv)
-        acc[a:b] += abs(c) ** 2 / float(iv.length)
+        acc[a:b] += abs(c) ** 2 / math.ldexp(1.0, iv.k)
     return GridFunction1D(grid, np.sqrt(acc))
 
 
@@ -75,9 +75,9 @@ def interval_ratios(seq: CoefficientSequence, collection: Sequence[DyadicInterva
     if lacunary:
         if grid is None:
             raise ConfigError("lacunary ratios need the grid")
-        return {iv: weak_l1_norm(local_square_function(seq, iv, grid)) / float(iv.length)
-                for iv in collection}
-    return {iv: abs(seq[iv]) / float(iv.length) ** 0.5 for iv in collection}
+        return {iv: weak_l1_norm(local_square_function(seq, iv, grid))
+                / math.ldexp(1.0, iv.k) for iv in collection}
+    return {iv: abs(seq[iv]) / math.ldexp(1.0, iv.k) ** 0.5 for iv in collection}
 
 
 @dataclass
@@ -199,7 +199,7 @@ def bmo_norm(seq: CoefficientSequence, collection: Sequence[DyadicInterval],
     best = 0.0
     for top in collection:
         sq = local_square_function(seq, top, grid)
-        best = max(best, sq.norm(r) / float(top.length) ** (1.0 / r))
+        best = max(best, sq.norm(r) / math.ldexp(1.0, top.k) ** (1.0 / r))
     return best
 
 
@@ -377,7 +377,7 @@ def size_energy_bound_check(seq1: CoefficientSequence, seq2: CoefficientSequence
     if sum(lacunary_flags) < 2:
         raise ConfigError("at least two of the three families must be lacunary")
     collection = tuple(collection)
-    lhs = abs(sum(seq1[q] * seq2[q] * seq3[q] / float(q.length) ** 0.5
+    lhs = abs(sum(seq1[q] * seq2[q] * seq3[q] / math.ldexp(1.0, q.k) ** 0.5
                   for q in collection))
     rhs = 1.0
     for seq, theta, lac in zip((seq1, seq2, seq3), thetas, lacunary_flags):

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .dyadic import DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D
-from .errors import ConfigError, ResolutionError
+from .errors import ConfigError, DomainError, ResolutionError
 
 __all__ = [
     "CutoffFamily",
@@ -36,7 +36,8 @@ __all__ = [
     "band_energy_fraction",
     "haar_pyramid",
     "haar_pyramid_2d",
-    "haar_coefficient_2d",
+    "haar_gather_2d",
+    "block_sums",
 ]
 
 # Envelope widths (in units of |I|) placing ~99%+ of spectral energy in the
@@ -185,63 +186,75 @@ def coefficient_naive(f: GridFunction1D, interval: DyadicInterval,
     return float(np.sum(f.samples * member) * float(f.grid.cell_width))
 
 
+def block_sums(a: np.ndarray, axis: int, levels: int, first: int = 0
+               ) -> list[np.ndarray]:
+    """Sums of a over aligned blocks of 2^i cells along one axis, i = first..levels.
+
+    Level i + 1 adds neighbouring pairs of level i, so a block's average is its
+    sum times the exact power of two 2^-i.  Behind the Haar pyramids and the
+    dyadic maximal functions alike.
+    """
+    lo = (slice(None),) * axis + (slice(0, None, 2),)
+    hi = (slice(None),) * axis + (slice(1, None, 2),)
+    out = [a] if first == 0 else []
+    for i in range(1, levels + 1):
+        a = a[lo] + a[hi]
+        if i >= first:
+            out.append(a)
+    return out
+
+
 def haar_pyramid(f: GridFunction1D) -> dict[int, np.ndarray]:
     """Block sums of f over all dyadic cells: scale k -> array of sums over
     [n*2^k, (n+1)*2^k), n running over the box.  Basis of the fast Haar path."""
     g = f.grid
-    sums: dict[int, np.ndarray] = {}
-    cur = f.samples.astype(float) * float(g.cell_width)
-    k = -g.res_exp
-    sums[k] = cur
-    while k < g.box_exp:
-        cur = cur.reshape(-1, 2).sum(axis=1)
-        k += 1
-        sums[k] = cur
-    return sums
+    sums = block_sums(f.samples.astype(float) * math.ldexp(1.0, -g.res_exp), 0,
+                      g.box_exp + g.res_exp)
+    return {i - g.res_exp: s for i, s in enumerate(sums)}
 
 
-def haar_pyramid_2d(h) -> dict[tuple[int, int], np.ndarray]:
-    """Block integrals of a 2D grid function over all dyadic rectangles."""
+def haar_pyramid_2d(h, k_min: tuple[int, int] | None = None
+                    ) -> dict[tuple[int, int], np.ndarray]:
+    """Block integrals of a 2D grid function over all dyadic rectangles, or
+    over those with scales (kx, ky) >= k_min; finer levels are not kept."""
     gx, gy = h.grid_x, h.grid_y
-    area = float(gx.cell_width) * float(gy.cell_width)
-    rows: dict[int, np.ndarray] = {}
-    cur = h.samples.astype(float) * area
-    kx = -gx.res_exp
-    rows[kx] = cur
-    while kx < gx.box_exp:
-        cur = cur[0::2, :] + cur[1::2, :]
-        kx += 1
-        rows[kx] = cur
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for kx, arr in rows.items():
-        cur = arr
-        ky = -gy.res_exp
-        out[(kx, ky)] = cur
-        while ky < gy.box_exp:
-            cur = cur[:, 0::2] + cur[:, 1::2]
-            ky += 1
-            out[(kx, ky)] = cur
-    return out
+    area = math.ldexp(1.0, -(gx.res_exp + gy.res_exp))
+    kx0, ky0 = (-gx.res_exp, -gy.res_exp) if k_min is None else (
+        max(int(k_min[0]), -gx.res_exp), max(int(k_min[1]), -gy.res_exp))
+    rows = block_sums(h.samples.astype(float) * area, 0, gx.box_exp + gx.res_exp,
+                      kx0 + gx.res_exp)
+    return {(kx0 + i, ky0 + j): s
+            for i, row in enumerate(rows)
+            for j, s in enumerate(block_sums(row, 1, gy.box_exp + gy.res_exp,
+                                             ky0 + gy.res_exp))}
 
 
-def haar_coefficient_2d(pyramid: Mapping[tuple[int, int], np.ndarray],
-                        rect: DyadicRectangle, lacunary_x: bool,
-                        lacunary_y: bool) -> float:
-    """<h, member_I tensor member_J> for Haar families, from 2D block sums."""
-    I, J = rect.x, rect.y
-    amp = 2.0 ** (-(I.k + J.k) / 2.0)
-    kx = I.k - 1 if lacunary_x else I.k
-    ky = J.k - 1 if lacunary_y else J.k
-    blocks = pyramid[(kx, ky)]
-    xs = (2 * I.n, 2 * I.n + 1) if lacunary_x else (I.n,)
-    ys = (2 * J.n, 2 * J.n + 1) if lacunary_y else (J.n,)
-    sx = (1.0, -1.0) if lacunary_x else (1.0,)
-    sy = (1.0, -1.0) if lacunary_y else (1.0,)
+_HALVES = {False: ((0, 1.0),), True: ((0, 1.0), (1, -1.0))}
+
+
+def haar_gather_2d(pyramid: Mapping[tuple[int, int], np.ndarray],
+                   shape: tuple[int, int], nx: np.ndarray, ny: np.ndarray,
+                   lacunary_x: bool, lacunary_y: bool) -> np.ndarray:
+    """<h, member_I tensor member_J> for Haar families, from 2D block sums,
+    for all rectangles I x J of one shape (kx, ky) at positions (nx, ny).
+
+    A lacunary member reads the two halves of its interval one scale down;
+    the signed blocks are added in the order ((B00 - B01) - B10) + B11.
+    """
+    kx, ky = shape
+    lx, ly = int(lacunary_x), int(lacunary_y)
+    blocks = pyramid.get((kx - lx, ky - ly))
+    if blocks is None:
+        raise ResolutionError(f"no block sums resolve rectangles of shape {shape}")
+    nx, ny = np.asarray(nx, dtype=np.int64), np.asarray(ny, dtype=np.int64)
+    if nx.size and (min(nx.min(), ny.min()) < 0 or nx.max() >= blocks.shape[0] >> lx
+                    or ny.max() >= blocks.shape[1] >> ly):
+        raise DomainError(f"rectangles of shape {shape} outside the domain")
     total = 0.0
-    for a, wa in zip(xs, sx):
-        for b, wb in zip(ys, sy):
-            total += wa * wb * float(blocks[a, b])
-    return amp * total
+    for dx, wx in _HALVES[lacunary_x]:
+        for dy, wy in _HALVES[lacunary_y]:
+            total = total + wx * wy * blocks[(nx << lx) + dx, (ny << ly) + dy]
+    return 2.0 ** (-(kx + ky) / 2.0) * total
 
 
 def coefficient(f: GridFunction1D, interval: DyadicInterval,

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dyadlab.dyadic import (DyadicInterval, DyadicRectangle, Grid1D,
                             GridFunction1D, GridFunction2D, contains, disjoint,
@@ -70,11 +70,11 @@ def test_measure_intersection_errors():
 
 
 def test_enumerate_dyadic_counts():
-    assert [i for i in enumerate_dyadic((0, Fraction(0)), 0, 0)] == [DyadicInterval(0, 0)]
-    assert len(enumerate_dyadic((0, Fraction(0)), -1, 0)) == 3
-    assert len(enumerate_dyadic((1, Fraction(0)), -1, 1)) == 7
+    assert [i for i in enumerate_dyadic(Grid1D(0, 0), 0, 0)] == [DyadicInterval(0, 0)]
+    assert len(enumerate_dyadic(Grid1D(0, 0), -1, 0)) == 3
+    assert len(enumerate_dyadic(Grid1D(1, 0), -1, 1)) == 7
     with pytest.raises(ValueError):
-        enumerate_dyadic((0, Fraction(0)), 1, 0)
+        enumerate_dyadic(Grid1D(0, 0), 1, 0)
 
 
 def test_grid_quadrature_exact():
@@ -91,6 +91,34 @@ def test_cell_range_validation():
         g.cell_range(DyadicInterval(-3, 0))
     with pytest.raises(DomainError):
         g.cell_range(DyadicInterval(0, 1))
+
+
+def _cell_range_reference(grid: Grid1D, iv: DyadicInterval) -> tuple[int, int]:
+    """Cell range by exact Fraction arithmetic on the interval's endpoints."""
+    if iv.k < -grid.res_exp:
+        raise ResolutionError(str(iv))
+    lo, hi = iv.left / grid.cell_width, iv.right / grid.cell_width
+    if lo.denominator != 1 or hi.denominator != 1:
+        raise ResolutionError(str(iv))
+    if lo < 0 or hi > grid.n_points:
+        raise DomainError(str(iv))
+    return int(lo), int(hi)
+
+
+@given(st.integers(0, 3), st.integers(0, 6), st.integers(-9, 4),
+       st.integers(-20, 80))
+@example(1, 2, -3, 0)  # finer than the grid
+@example(0, 2, 0, 1)   # past the right end of the box
+@example(2, 1, -1, -1)  # left of the box
+def test_cell_range_matches_fraction_reference(box_exp, res_exp, k, n):
+    g, iv = Grid1D(box_exp, res_exp), DyadicInterval(k, n)
+    try:
+        want = _cell_range_reference(g, iv)
+    except (ResolutionError, DomainError) as exc:
+        with pytest.raises(type(exc)):
+            g.cell_range(iv)
+    else:
+        assert g.cell_range(iv) == want
 
 
 def test_tensor_matches_pointwise_product():

@@ -6,7 +6,7 @@ from dyadlab.dyadic import Grid1D
 from dyadlab.errors import ConfigError
 from dyadlab.harness import (ExperimentConfig, estimate_weak_type_constant,
                              generate_test_functions, model_spec_from_config,
-                             run)
+                             run, weak_type_trial)
 
 
 G = Grid1D(1, 7)
@@ -129,6 +129,22 @@ def test_weak_type_estimate_smoke():
     best, rows, rate = estimate_weak_type_constant(cfg)
     assert best >= 0.0 and 0.0 <= rate <= 1.0
     assert all("ratio" in r for r in rows if not r.get("skipped"))
+
+
+def test_weak_type_trial_leaves_seed_sequence_unchanged():
+    cfg = ExperimentConfig(kind="weak_type_sweep", box_exp=1, res_exp=8,
+                           depth=5, trials=1, seed=0)
+    seq = np.random.SeedSequence(10)
+    records = [weak_type_trial(cfg, seq, 8, 5) for _ in range(3)]
+    assert seq.n_children_spawned == 0
+    assert records[0] == records[1] == records[2] == weak_type_trial(cfg, 10, 8, 5)
+
+
+def test_negative_seed_is_a_config_error(capsys):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(seed=-1).validate()
+    assert cli_main(["invariants", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

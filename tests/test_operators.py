@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from dyadlab.dyadic import (DyadicInterval, DyadicRectangle, Grid1D,
                             GridFunction1D, GridFunction2D, enumerate_dyadic,
                             tensor)
-from dyadlab.errors import ConfigError
+from dyadlab.errors import ConfigError, DomainError, ResolutionError
 from dyadlab.operators import (HybridKind, estimate_operator_norm, hybrid_2d,
-                               maximal_1d, maximal_function, square_1d)
+                               maximal_1d, maximal_function, maximal_function_2d,
+                               square_1d)
 from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
-                              SMOOTH_NONLACUNARY)
+                              SMOOTH_NONLACUNARY, all_coefficients_2d)
 
 
 def test_maximal_examples():
@@ -159,3 +162,69 @@ def test_sm_uses_first_power_supremum():
     out = hybrid_2d(h, HybridKind.SM_H, rect)
     # |<h, psi x ind>| = 2, sup_J 2/|J| = 2, and sqrt(2/|I|) = sqrt(2)
     assert out.samples[0, 0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+
+def _brute_maximal(samples: np.ndarray, grids) -> np.ndarray:
+    """Max over every dyadic box of the grids of the mean of |samples|."""
+    a = np.abs(samples)
+    best = np.zeros_like(a)
+    blocks = [[slice(*g.cell_range(iv))
+               for iv in enumerate_dyadic(g, -g.res_exp, g.box_exp)] for g in grids]
+    for index in itertools.product(*blocks):
+        np.maximum(best[index], a[index].mean(), out=best[index])
+    return best
+
+
+@given(st.integers(0, 2), st.integers(0, 3), st.integers(0, 2), st.integers(0, 3),
+       st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_maximal_recurrence_matches_brute_force(bx, rx, by, ry, seed):
+    """Integer samples make every block mean exact, so the two must agree
+    bit for bit whatever order they sum in."""
+    gx, gy = Grid1D(bx, rx), Grid1D(by, ry)
+    rng = np.random.default_rng(seed)
+    samples = rng.integers(-9, 10, (gx.n_points, gy.n_points)).astype(float)
+    h = GridFunction2D(gx, gy, samples)
+    assert np.array_equal(maximal_function_2d(h).samples, _brute_maximal(samples, (gx, gy)))
+    f = GridFunction1D(gx, h.samples[:, 0])
+    assert np.array_equal(maximal_function(f).samples, _brute_maximal(f.samples, (gx,)))
+
+
+def _square_per_rectangle(h, rects, fx, fy) -> np.ndarray:
+    """sqrt(sum_R |c_R|^2 / |R| chi_R), one rectangle slice at a time."""
+    coeffs = all_coefficients_2d(h, rects, fx, fy)
+    acc = np.zeros(h.samples.shape)
+    for r, c in coeffs.items():
+        a, b = h.grid_x.cell_range(r.x)
+        c0, c1 = h.grid_y.cell_range(r.y)
+        acc[a:b, c0:c1] += abs(c) ** 2 / float(r.area)
+    return np.sqrt(acc)
+
+
+@given(st.integers(0, 1), st.integers(2, 4), st.integers(0, 1), st.integers(2, 4),
+       st.integers(0, 2 ** 31 - 1), st.sampled_from(["SS_H", "SS"]))
+@settings(max_examples=20, deadline=None)
+def test_square_per_shape_matches_per_rectangle(bx, rx, by, ry, seed, kind):
+    gx, gy = Grid1D(bx, rx), Grid1D(by, ry)
+    rng = np.random.default_rng(seed)
+    h = GridFunction2D(gx, gy, rng.standard_normal((gx.n_points, gy.n_points)))
+    rects = [DyadicRectangle(i, j) for i in enumerate_dyadic(gx, 1 - rx, bx)
+             for j in enumerate_dyadic(gy, 1 - ry, by)]
+    # a shuffled subset with repeats: shape order is not list order
+    rects = [rects[int(i)] for i in rng.integers(0, len(rects), len(rects))]
+    fams = (HAAR_LACUNARY, HAAR_LACUNARY) if kind == "SS_H" else (SMOOTH_LACUNARY,) * 2
+    want = _square_per_rectangle(h, rects, *fams)
+    got = hybrid_2d(h, kind, rects).samples
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(want)))
+
+
+def test_square_per_shape_rejects_unresolved_rectangles():
+    g = Grid1D(0, 3)
+    h = GridFunction2D.zeros(g, g)
+    fine = DyadicRectangle(DyadicInterval(-4, 0), DyadicInterval(0, 0))
+    outside = DyadicRectangle(DyadicInterval(0, 1), DyadicInterval(0, 0))
+    for kind in ("SS", "SS_H"):
+        with pytest.raises(ResolutionError):
+            hybrid_2d(h, kind, [fine])
+        with pytest.raises(DomainError):
+            hybrid_2d(h, kind, [outside])

@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 from dyadlab.dyadic import (DyadicInterval, DyadicRectangle, Grid1D,
                             GridFunction1D, GridFunction2D, contains,
                             enumerate_dyadic)
-from dyadlab.errors import ConfigError, ResolutionError
+from dyadlab.errors import ConfigError, DomainError, ResolutionError
 from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
                               SMOOTH_NONLACUNARY, CoefficientSequence,
                               CutoffFamily, all_coefficients,
                               all_coefficients_2d, band_energy_fraction,
                               coefficient, coefficient_naive, haar_eval,
-                              haar_pyramid, haar_pyramid_2d,
-                              haar_coefficient_2d, smooth_bump)
+                              haar_gather_2d, haar_pyramid, haar_pyramid_2d,
+                              smooth_bump)
 
 G = Grid1D(0, 6)
 UNIT = DyadicInterval(0, 0)
@@ -183,5 +183,39 @@ def test_haar_pyramid_2d_matches_direct():
              for i in enumerate_dyadic(g, -2, 0) for j in enumerate_dyadic(g, -2, 0)]
     direct = all_coefficients_2d(h, rects, HAAR_LACUNARY, HAAR_LACUNARY)
     for r in rects:
-        fast = haar_coefficient_2d(pyr, r, True, True)
-        assert fast == pytest.approx(direct[r], abs=1e-12)
+        fast = haar_gather_2d(pyr, (r.x.k, r.y.k), [r.x.n], [r.y.n], True, True)
+        assert fast[0] == pytest.approx(direct[r], abs=1e-12)
+    coarse = haar_pyramid_2d(h, (-1, -3))  # keeps only the levels it is asked for
+    assert set(coarse) == {k for k in pyr if k[0] >= -1 and k[1] >= -3}
+    assert all(np.array_equal(coarse[k], pyr[k]) for k in coarse)
+
+
+@given(st.integers(0, 1), st.integers(1, 5), st.integers(0, 1), st.integers(1, 5),
+       st.booleans(), st.booleans(), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_haar_gather_matches_quadrature(bx, rx, by, ry, lac_x, lac_y, seed):
+    gx, gy = Grid1D(bx, rx), Grid1D(by, ry)
+    rng = np.random.default_rng(seed)
+    h = GridFunction2D(gx, gy, rng.standard_normal((gx.n_points, gy.n_points)))
+    fx = HAAR_LACUNARY if lac_x else HAAR_NONLACUNARY
+    fy = HAAR_LACUNARY if lac_y else HAAR_NONLACUNARY
+    pyr = haar_pyramid_2d(h)
+    wx, wy = float(gx.cell_width), float(gy.cell_width)
+    for I_k in range(int(lac_x) - rx, bx + 1):
+        for J_k in range(int(lac_y) - ry, by + 1):
+            nx = rng.integers(0, 2 ** (bx - I_k), 3)
+            ny = rng.integers(0, 2 ** (by - J_k), 3)
+            fast = haar_gather_2d(pyr, (I_k, J_k), nx, ny, lac_x, lac_y)
+            for c, m, n in zip(fast, nx, ny):
+                mx = fx.member(DyadicInterval(I_k, int(m)), gx)
+                my = fy.member(DyadicInterval(J_k, int(n)), gy)
+                assert abs(c - float(mx @ h.samples @ my) * wx * wy) <= 1e-12
+
+
+def test_haar_gather_rejects_unresolved_shapes():
+    g = Grid1D(0, 2)
+    pyr = haar_pyramid_2d(GridFunction2D.zeros(g, g))
+    with pytest.raises(ResolutionError):
+        haar_gather_2d(pyr, (-2, 0), [0], [0], True, False)
+    with pytest.raises(DomainError):
+        haar_gather_2d(pyr, (-1, 0), [2], [0], True, False)
