@@ -142,8 +142,10 @@ class Grid1D:
             raise DomainError(f"{interval} outside domain")
         return a, b
 
-    def full_interval(self) -> DyadicInterval:
-        return DyadicInterval(self.box_exp, 0)
+
+def _check_finite(samples: np.ndarray) -> None:
+    if not np.isfinite(samples).all():
+        raise ConfigError("samples must be finite (no NaN or inf)")
 
 
 @dataclass
@@ -158,6 +160,7 @@ class GridFunction1D:
         if self.samples.shape != (self.grid.n_points,):
             raise ValueError(
                 f"expected {self.grid.n_points} samples, got {self.samples.shape}")
+        _check_finite(self.samples)
 
     @classmethod
     def zeros(cls, grid: Grid1D) -> "GridFunction1D":
@@ -199,6 +202,7 @@ class GridFunction2D:
         expect = (self.grid_x.n_points, self.grid_y.n_points)
         if self.samples.shape != expect:
             raise ValueError(f"expected shape {expect}, got {self.samples.shape}")
+        _check_finite(self.samples)
 
     @classmethod
     def zeros(cls, grid_x: Grid1D, grid_y: Grid1D) -> "GridFunction2D":
@@ -257,6 +261,33 @@ def enumerate_dyadic(domain: Grid1D, k_min: int, k_max: int) -> list[DyadicInter
     for k in range(min(k_max, domain.box_exp), k_min - 1, -1):
         out.extend(DyadicInterval(k, n) for n in range(2 ** (domain.box_exp - k)))
     return out
+
+
+def _mantissa_product(factors) -> tuple[float, int]:
+    """(m, e) with m in [1/2, 1) and m 2^e the product of the factors (> 0):
+    mantissas multiply, rounded once for two factors as their float product
+    is, and exponents add, so no intermediate overflows or underflows."""
+    m, e = 1.0, 0
+    for f in factors:
+        fm, fe = math.frexp(f)
+        m, e = m * fm, e + fe
+    m, me = math.frexp(m)
+    return m, e + me
+
+
+def _level_below(num, *den):
+    """Largest integer n with den[0] den[1] ... 2^n < num, for finite num > 0
+    (a float or an array) and den > 0, exactly: with num = m 2^e it is an
+    exponent difference, one less when the den mantissa is not below m."""
+    md, ed = _mantissa_product(den)
+    m, e = math.frexp(num) if isinstance(num, float) else np.frexp(num)
+    return e - ed - (md >= m)
+
+
+def _times_pow2(n: int, *factors) -> float:
+    """factors[0] factors[1] ... 2^n, the threshold of level n."""
+    m, e = _mantissa_product(factors)
+    return math.ldexp(m, e + n)
 
 
 def shape_groups(rectangles: Sequence[DyadicRectangle]

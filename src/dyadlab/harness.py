@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .models import (ModelOperatorSpec, MODEL_NAMES, model_operator,
                      multilinear_form, oracle_model_operator)
 from .multiplier import ExponentTuple, leibniz_check
-from .operators import maximal_function
+from .operators import _full_rectangles, maximal_function
 from .stopping import (build_exceptional_set, level_decomposition_1d,
                        sparsity_check_1d, sparsity_check_2d)
 from .wavelets import CoefficientSequence, HAAR_LACUNARY
@@ -290,12 +290,6 @@ def _random_h(rng: np.random.Generator, gx: Grid1D, gy: Grid1D,
     return GridFunction2D(gx, gy, vals)
 
 
-def _full_rectangles(gx: Grid1D, gy: Grid1D, depth: int) -> list[DyadicRectangle]:
-    xs = enumerate_dyadic(gx, -depth, gx.box_exp)
-    ys = enumerate_dyadic(gy, -depth, gy.box_exp)
-    return [DyadicRectangle(i, j) for i in xs for j in ys]
-
-
 _MODE_FOR_MODEL = {
     "flag0_paraproduct": "flag0",
     "flag_sharp_paraproduct": "fixed_scale",
@@ -308,7 +302,7 @@ _MODE_FOR_MODEL = {
 def model_spec_from_config(config: ExperimentConfig, grid_x: Grid1D,
                            grid_y: Grid1D) -> ModelOperatorSpec:
     """The Haar model spec a weak-type run uses, rebuilt from its config."""
-    rectangles = _full_rectangles(grid_x, grid_y, config.depth)
+    rectangles = _full_rectangles(grid_x, grid_y, -config.depth)
     inner = enumerate_dyadic(grid_x,
                              -min(config.inner_depth, grid_x.res_exp - 1),
                              grid_x.box_exp)

@@ -12,6 +12,9 @@ set (localized variants; the non-lacunary one sums absolute values).
 A model operator pairs an x-side block against each rectangle's x interval, a
 y-side block or paraproduct coefficients against the y interval, and a 2D
 coefficient of h; the output is a linear combination of tensor members.
+model_operator and multilinear_form take the 2D coefficients of every
+rectangle from wavelets.all_coefficients_2d; model_operator sums the terms
+as X^T C Y, multilinear_form pairs them with the dual's coefficients.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from .dyadic import (DyadicInterval, DyadicRectangle, GridFunction1D,
 from .errors import ConfigError
 from .size_energy import size
 from .wavelets import (CutoffFamily, CoefficientSequence, all_coefficients,
-                       coefficient_naive, haar_gather_2d, haar_pyramid,
-                       haar_pyramid_2d, HAAR_LACUNARY, HAAR_NONLACUNARY,
-                       SMOOTH_LACUNARY, SMOOTH_NONLACUNARY)
+                       all_coefficients_2d, coefficient_naive, haar_pyramid,
+                       HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
+                       SMOOTH_NONLACUNARY)
 
 __all__ = [
     "BilinearBlockSpec",
@@ -330,35 +333,43 @@ def _y_coefficients(spec: ModelOperatorSpec, ys: Sequence[DyadicInterval],
     return by, norm_y, spec.y_outer[1], spec.y_outer[2]
 
 
+def _rectangle_weights(spec: ModelOperatorSpec, f1, f2, g1, g2):
+    """Each rectangle's weight (b_I / |I|^{1/2}) y_J n_J, in rectangle order;
+    the sorted x and y intervals; the y side's h-coefficient and output
+    families."""
+    xs = sorted({r.x for r in spec.rectangles})
+    ys = sorted({r.y for r in spec.rectangles})
+    bx = _x_coefficients(spec, xs, f1, f2)
+    y_factor, norm_y, h_y_family, out_y_family = _y_coefficients(spec, ys, g1, g2)
+    x_factor = {I: bx[I] / math.ldexp(1.0, I.k) ** 0.5 for I in xs}
+    rectangles = spec.rectangles
+    w = (np.array([x_factor[r.x] for r in rectangles])
+         * np.array([y_factor[r.y] for r in rectangles])
+         * np.array([norm_y[r.y] for r in rectangles]))
+    return w, xs, ys, h_y_family, out_y_family
+
+
 def model_operator(spec: ModelOperatorSpec, f1: GridFunction1D, f2: GridFunction1D,
                    g1: GridFunction1D, g2: GridFunction1D,
                    h: GridFunction2D) -> GridFunction2D:
-    """Evaluate the selected model operator on the grid of h."""
+    """Evaluate the selected model operator on the grid of h, as X^T C Y.
+
+    C[I, J] sums weight times <h, m2_I tensor m2_J> over the rectangles I x J
+    (a rectangle listed twice counts twice); the rows of X and Y are the
+    output members on the x and y intervals.
+    """
     gx, gy = h.grid_x, h.grid_y
-    xs = sorted({r.x for r in spec.rectangles})
-    ys = sorted({r.y for r in spec.rectangles})
-
-    bx = _x_coefficients(spec, xs, f1, f2)
-    y_factor, norm_y, h_y_family, out_y_family = _y_coefficients(spec, ys, g1, g2)
-
-    # <h, m2_I tensor m2'_J>: contract y first, then x
-    wy = float(gy.cell_width)
-    partial = {J: h.samples @ (h_y_family.member(J, gy) * wy) for J in ys}
-    wx = float(gx.cell_width)
-    h_x_members = {I: spec.x_outer[1].member(I, gx) * wx for I in xs}
-
-    out_x_members = {I: spec.x_outer[2].member(I, gx) for I in xs}
-    out_y_members = {J: out_y_family.member(J, gy) for J in ys}
-
-    acc = np.zeros((gx.n_points, gy.n_points))
-    for r in spec.rectangles:
-        hc = float(np.dot(h_x_members[r.x], partial[r.y]))
-        coef = (bx[r.x] / math.ldexp(1.0, r.x.k) ** 0.5) * y_factor[r.y] * norm_y[r.y] \
-            * hc
-        if coef == 0.0:
-            continue
-        acc += coef * np.outer(out_x_members[r.x], out_y_members[r.y])
-    return GridFunction2D(gx, gy, acc)
+    w, xs, ys, h_y_family, out_y_family = _rectangle_weights(spec, f1, f2, g1, g2)
+    hc = all_coefficients_2d(h, shape_groups(spec.rectangles), spec.x_outer[1],
+                             h_y_family)
+    row = {I: a for a, I in enumerate(xs)}
+    col = {J: b for b, J in enumerate(ys)}
+    c = np.zeros((len(xs), len(ys)))
+    np.add.at(c, ([row[r.x] for r in spec.rectangles],
+                  [col[r.y] for r in spec.rectangles]), w * hc)
+    x_members = np.array([spec.x_outer[2].member(I, gx) for I in xs])
+    y_members = np.array([out_y_family.member(J, gy) for J in ys])
+    return GridFunction2D(gx, gy, (x_members.T @ c) @ y_members)
 
 
 def oracle_model_operator(spec: ModelOperatorSpec, f1, f2, g1, g2, h,
@@ -416,37 +427,18 @@ def multilinear_form(spec: ModelOperatorSpec, f1, f2, g1, g2, h,
                      dual: GridFunction2D) -> float:
     """<model(f1, f2, g1, g2, h), dual> as a grid inner product.
 
-    For all-Haar specs the pairing is computed coefficient-by-coefficient
-    from 2D block sums (no full-grid output is materialized), which keeps the
-    large weak-type sweeps affordable.
+    The sum over the rectangles R = I x J of weight times <h, m2_I tensor m2_J>
+    times <dual, m3_I tensor m3_J>, taken in rectangle order; both
+    coefficient arrays come from all_coefficients_2d, one after the other, and
+    no full-grid output is materialized.
     """
     if dual.samples.shape != h.samples.shape:
         raise ConfigError("dual lives on a different grid")
-    if not (_axis_all_haar(spec, "x") and _axis_all_haar(spec, "y")):
-        out = model_operator(spec, f1, f2, g1, g2, h)
-        return float(np.sum(out.samples * dual.samples) * out.cell_area)
-
-    rectangles = spec.rectangles
-    xs = sorted({r.x for r in rectangles})
-    ys = sorted({r.y for r in rectangles})
-    bx = _x_coefficients(spec, xs, f1, f2)
-    y_factor, norm_y, h_y_family, out_y_family = _y_coefficients(spec, ys, g1, g2)
-    x_factor = {I: bx[I] / math.ldexp(1.0, I.k) ** 0.5 for I in xs}
-    coef = (np.array([x_factor[r.x] for r in rectangles])
-            * np.array([y_factor[r.y] for r in rectangles])
-            * np.array([norm_y[r.y] for r in rectangles]))
-    groups = shape_groups(rectangles)
-    k_min = np.min(list(groups), axis=0) - 1  # halves of the finest shapes
-    hp = haar_pyramid_2d(h, k_min)
-    dp = haar_pyramid_2d(dual, k_min)
-    terms = np.zeros(len(rectangles))
-    for shape, (idx, nx, ny) in groups.items():
-        hc = haar_gather_2d(hp, shape, nx, ny, spec.x_outer[1].lacunary,
-                            h_y_family.lacunary)
-        dc = haar_gather_2d(dp, shape, nx, ny, spec.x_outer[2].lacunary,
-                            out_y_family.lacunary)
-        terms[idx] = coef[idx] * hc * dc
-    terms[coef == 0.0] = 0.0  # a vanishing coefficient contributes nothing
+    w, _, _, h_y_family, out_y_family = _rectangle_weights(spec, f1, f2, g1, g2)
+    groups = shape_groups(spec.rectangles)
+    terms = w * all_coefficients_2d(h, groups, spec.x_outer[1], h_y_family)
+    terms *= all_coefficients_2d(dual, groups, spec.x_outer[2], out_y_family)
+    terms[w == 0.0] = 0.0  # a vanishing weight contributes nothing
     total = 0.0
     for t in terms.tolist():  # in rectangle order, as a plain running sum
         total += t

@@ -12,8 +12,7 @@ from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
                      GridFunction2D, enumerate_dyadic, shape_groups)
 from .errors import ConfigError, DomainError, ResolutionError
 from .wavelets import (CutoffFamily, all_coefficients, all_coefficients_2d,
-                       block_sums, haar_gather_2d, haar_pyramid_2d,
-                       HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
+                       block_sums, HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
                        SMOOTH_NONLACUNARY)
 
 __all__ = [
@@ -141,6 +140,21 @@ def _hybrid_families(kind: HybridKind,
     return fx, fy
 
 
+def _coarse(gx: Grid1D, gy: Grid1D, shape: tuple[int, int], nx: np.ndarray,
+            ny: np.ndarray) -> np.ndarray:
+    """Zeros with one entry per rectangle of the shape in the box, after
+    checking that the rectangles at (nx, ny) are resolved and inside it."""
+    kx, ky = shape
+    i, j = kx + gx.res_exp, ky + gy.res_exp
+    if min(i, j) < 0:
+        raise ResolutionError(f"rectangles of shape {shape} finer than the grid")
+    coarse = np.zeros((gx.n_points >> i, gy.n_points >> j))
+    if min(nx.min(), ny.min()) < 0 or nx.max() >= coarse.shape[0] \
+            or ny.max() >= coarse.shape[1]:
+        raise DomainError(f"rectangles of shape {shape} outside the domain")
+    return coarse
+
+
 def _square_sum_2d(gx: Grid1D, gy: Grid1D, groups: dict, coeffs: np.ndarray
                    ) -> np.ndarray:
     """(sum_R |c_R|^2 / |R| chi_R)^(1/2), assembled one rectangle shape at a time.
@@ -152,19 +166,31 @@ def _square_sum_2d(gx: Grid1D, gy: Grid1D, groups: dict, coeffs: np.ndarray
     acc = np.zeros((1, gy.n_points))
     for kx, ky in sorted(groups, reverse=True):
         idx, nx, ny = groups[(kx, ky)]
-        i, j = kx + gx.res_exp, ky + gy.res_exp
-        if min(i, j) < 0:
-            raise ResolutionError(f"rectangles of shape {(kx, ky)} finer than the grid")
-        coarse = np.zeros((gx.n_points >> i, gy.n_points >> j))
-        if min(nx.min(), ny.min()) < 0 or nx.max() >= coarse.shape[0] \
-                or ny.max() >= coarse.shape[1]:
-            raise DomainError(f"rectangles of shape {(kx, ky)} outside the domain")
+        coarse = _coarse(gx, gy, (kx, ky), nx, ny)
         if acc.shape[0] < coarse.shape[0]:
             acc = np.repeat(acc, coarse.shape[0] // acc.shape[0], axis=0)
         np.add.at(coarse, (nx, ny),
                   np.abs(coeffs[idx]) ** 2 * math.ldexp(1.0, -(kx + ky)))
-        acc.reshape(acc.shape[0], -1, 1 << j)[...] += coarse[:, :, None]
+        acc.reshape(acc.shape[0], -1, gy.n_points // coarse.shape[1])[...] \
+            += coarse[:, :, None]
     return np.sqrt(np.repeat(acc, gx.n_points // acc.shape[0], axis=0))
+
+
+def _x_scale_rows(gx: Grid1D, gy: Grid1D, groups: dict, terms: np.ndarray,
+                  ufunc: np.ufunc):
+    """For each x scale kx, fine to coarse: kx and the array over (x interval
+    of scale kx, y cell) that reduces terms_R 2^-ky chi_J(y) with ufunc (add
+    or maximum) over the rectangles R = I x J of that x scale."""
+    for kx in sorted({kx for kx, _ in groups}):
+        rows = None
+        for (sx, ky), (idx, nx, ny) in groups.items():
+            if sx != kx:
+                continue
+            coarse = _coarse(gx, gy, (kx, ky), nx, ny)
+            ufunc.at(coarse, (nx, ny), terms[idx] * math.ldexp(1.0, -ky))
+            fine = np.repeat(coarse, gy.n_points // coarse.shape[1], axis=1)
+            rows = fine if rows is None else ufunc(rows, fine, out=rows)
+        yield kx, rows
 
 
 def hybrid_2d(h: GridFunction2D, kind: HybridKind,
@@ -173,9 +199,9 @@ def hybrid_2d(h: GridFunction2D, kind: HybridKind,
               ) -> GridFunction2D:
     """The 2D hybrid operators SS, (SS)^H, MS, (MS)^H, SM, (SM)^H and MM.
 
-    For Haar families the coefficients are gathered per rectangle shape from
-    one 2D block-sum pyramid.  SS and (SS)^H are assembled per shape as well;
-    MS and SM loop over the rectangles.
+    The rectangle coefficients come from wavelets.all_coefficients_2d, and
+    every kind but MM is assembled per rectangle shape: SS and (SS)^H shape by
+    shape, MS and SM one x scale at a time, reducing over the y scales.
     """
     kind = HybridKind(kind)
     if kind in (HybridKind.M, HybridKind.S):
@@ -184,59 +210,34 @@ def hybrid_2d(h: GridFunction2D, kind: HybridKind,
         return maximal_function_2d(h, rectangles)
 
     fx, fy = _hybrid_families(kind, families)
-    rectangles = tuple(rectangles)
-    groups = shape_groups(rectangles)
-    if fx.haar and fy.haar:
-        # halves of the finest shapes are the finest blocks read
-        pyr = haar_pyramid_2d(h, np.min(list(groups), axis=0) - 1) if groups else {}
-        coeffs = np.zeros(len(rectangles))
-        for s, (idx, nx, ny) in groups.items():
-            coeffs[idx] = haar_gather_2d(pyr, s, nx, ny, fx.lacunary, fy.lacunary)
-    else:
-        seq = all_coefficients_2d(h, rectangles, fx, fy)
-        coeffs = np.array([seq[r] for r in rectangles])
+    groups = shape_groups(tuple(rectangles))
+    coeffs = all_coefficients_2d(h, groups, fx, fy)
     gx, gy = h.grid_x, h.grid_y
     base = kind.value[:-2] if kind.value.endswith("_H") else kind.value
 
     if base == "SS":
         return GridFunction2D(gx, gy, _square_sum_2d(gx, gy, groups, coeffs))
 
-    pairs = list(zip(rectangles, coeffs.tolist()))
-    xs = sorted({r.x for r in rectangles})
+    out = np.zeros((gx.n_points, gy.n_points))
     if base == "MS":
         # sup_I |I|^{-1/2} (sum_J |<h, phi_I x psi_J>|^2 / |J| chi_J(y))^{1/2} chi_I(x)
-        best = np.zeros((gx.n_points, gy.n_points))
-        for I in xs:
-            acc = np.zeros(gy.n_points)
-            for r, c in pairs:
-                if r.x != I:
-                    continue
-                cc, d = gy.cell_range(r.y)
-                acc[cc:d] += abs(c) ** 2 / math.ldexp(1.0, r.y.k)
-            vals = np.sqrt(acc) / math.ldexp(1.0, I.k) ** 0.5
-            a, b = gx.cell_range(I)
-            np.maximum(best[a:b, :], vals[None, :], out=best[a:b, :])
-        return GridFunction2D(gx, gy, best)
+        for kx, rows in _x_scale_rows(gx, gy, groups, np.abs(coeffs) ** 2, np.add):
+            view = out.reshape(rows.shape[0], -1, gy.n_points)
+            np.maximum(view, (np.sqrt(rows) * 2.0 ** (-kx / 2.0))[:, None, :], out=view)
+        return GridFunction2D(gx, gy, out)
 
     # SM: (sum_I [sup_J |<h, psi_I x phi_J>| / |J| chi_J(y)] / |I| chi_I(x))^{1/2}
     # The inner supremum enters to the first power, exactly as displayed.
-    acc = np.zeros((gx.n_points, gy.n_points))
-    for I in xs:
-        inner = np.zeros(gy.n_points)
-        for r, c in pairs:
-            if r.x != I:
-                continue
-            cc, d = gy.cell_range(r.y)
-            np.maximum(inner[cc:d], abs(c) / math.ldexp(1.0, r.y.k), out=inner[cc:d])
-        a, b = gx.cell_range(I)
-        acc[a:b, :] += inner[None, :] / math.ldexp(1.0, I.k)
-    return GridFunction2D(gx, gy, np.sqrt(acc))
+    for kx, rows in _x_scale_rows(gx, gy, groups, np.abs(coeffs), np.maximum):
+        view = out.reshape(rows.shape[0], -1, gy.n_points)
+        view += (rows * math.ldexp(1.0, -kx))[:, None, :]
+    return GridFunction2D(gx, gy, np.sqrt(out))
 
 
-def _full_rectangle_pyramid(gx: Grid1D, gy: Grid1D, k_min_x: int, k_min_y: int
-                            ) -> list[DyadicRectangle]:
-    xs = enumerate_dyadic(gx, k_min_x, gx.box_exp)
-    ys = enumerate_dyadic(gy, k_min_y, gy.box_exp)
+def _full_rectangles(gx: Grid1D, gy: Grid1D, k_min: int) -> list[DyadicRectangle]:
+    """Every dyadic rectangle of the box with both scales at least k_min."""
+    xs = enumerate_dyadic(gx, k_min, gx.box_exp)
+    ys = enumerate_dyadic(gy, k_min, gy.box_exp)
     return [DyadicRectangle(i, j) for i in xs for j in ys]
 
 
@@ -263,7 +264,7 @@ def estimate_operator_norm(kind: HybridKind, p: float, trials: int, seed: int,
     one_dim = kind in (HybridKind.M, HybridKind.S)
     if not one_dim and rectangles is None:
         k_min = 1 - res_exp  # halves of every rectangle stay resolvable
-        rectangles = _full_rectangle_pyramid(gx, gy, k_min, k_min)
+        rectangles = _full_rectangles(gx, gy, k_min)
     intervals = enumerate_dyadic(gx, 1 - res_exp, box_exp)
     best = 0.0
     for _ in range(trials):

@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicInterval, Grid1D, GridFunction1D, contains
+from .dyadic import (DyadicInterval, Grid1D, GridFunction1D, _level_below,
+                     _times_pow2, contains)
 from .errors import ConfigError
 from .wavelets import CoefficientSequence
 
@@ -133,16 +134,6 @@ def _maximal_disjoint(collection: Iterable[DyadicInterval]) -> list[DyadicInterv
     return out
 
 
-def _critical_level(r: float) -> int:
-    """Largest integer n with 2^n < r (r > 0)."""
-    n = math.ceil(math.log2(r)) - 1
-    while 2.0 ** n >= r:
-        n -= 1
-    while 2.0 ** (n + 1) < r:
-        n += 1
-    return n
-
-
 def energy(seq: CoefficientSequence, collection: Sequence[DyadicInterval],
            kind: str = "weak_1inf", t: float | None = None,
            lacunary: bool = False, grid: Grid1D | None = None
@@ -164,7 +155,7 @@ def energy(seq: CoefficientSequence, collection: Sequence[DyadicInterval],
         if not positive:
             return SizeEnergyReport("energy_weak", 0.0)
         best, best_n, best_family = 0.0, None, ()
-        for n in sorted({_critical_level(r) for r in positive.values()}):
+        for n in sorted({_level_below(r) for r in positive.values()}):
             qualifying = [iv for iv, r in positive.items() if r > 2.0 ** n]
             family = _maximal_disjoint(qualifying)
             total = float(sum((iv.length for iv in family), Fraction(0)))
@@ -179,7 +170,7 @@ def energy(seq: CoefficientSequence, collection: Sequence[DyadicInterval],
         raise ConfigError("strong_t energy requires t > 1")
     if not positive:
         return SizeEnergyReport(f"energy_strong({t})", 0.0)
-    crit = {_critical_level(r) for r in positive.values()}
+    crit = {_level_below(r) for r in positive.values()}
     total = 0.0
     for n in range(min(crit), max(crit) + 1):
         qualifying = [iv for iv, r in positive.items() if r > 2.0 ** n]
@@ -246,17 +237,6 @@ class TreeDecomposition:
         return "\n".join(lines)
 
 
-def _tree_level(r: float, c1: float, base: float) -> int:
-    """The unique k with c1 2^{k-1} base < r <= c1 2^k base."""
-    x = r / (c1 * base)
-    k = math.ceil(math.log2(x))
-    while r > c1 * 2.0 ** k * base:
-        k += 1
-    while r <= c1 * 2.0 ** (k - 1) * base:
-        k -= 1
-    return k
-
-
 def stopping_time_maximal(seq: CoefficientSequence,
                           collection: Sequence[DyadicInterval], c1: float,
                           lacunary: bool = False, grid: Grid1D | None = None,
@@ -286,9 +266,11 @@ def stopping_time_maximal(seq: CoefficientSequence,
     if base > 0:
         positive = sorted((iv for iv in collection if ratios[iv] > 0),
                           key=lambda iv: (-iv.k, iv.n))
-        k = max(_tree_level(ratios[iv], c1, base) for iv in positive) if positive else None
+        # the level of ratio r is the k with c1 2^{k-1} base < r <= c1 2^k base
+        k = (max(_level_below(ratios[iv], c1, base) for iv in positive) + 1
+             if positive else None)
         while k is not None:
-            threshold = c1 * 2.0 ** (k - 1) * base
+            threshold = _times_pow2(k - 1, c1, base)
             while True:
                 candidates = [iv for iv in positive
                               if iv in unassigned and ratios[iv] > threshold]
@@ -302,7 +284,7 @@ def stopping_time_maximal(seq: CoefficientSequence,
             remaining = [ratios[iv] for iv in unassigned if ratios[iv] > 0]
             if not remaining:
                 break
-            k = max(_tree_level(r, c1, base) for r in remaining)
+            k = max(_level_below(r, c1, base) + 1 for r in remaining)
 
     bottom: list[Tree] = []
     while unassigned:
@@ -338,7 +320,7 @@ def check_stopping_time_properties(decomp: TreeDecomposition,
     e_actual = energy(seq, collection, "weak_1inf", lacunary=lacunary, grid=grid).value
     for k, trees in decomp.levels.items():
         level_ratios = [ratios[iv] for t in trees for iv in t.members]
-        lo, hi = c1 * 2.0 ** (k - 1) * e, c1 * 2.0 ** k * e
+        lo, hi = _times_pow2(k - 1, c1, e), _times_pow2(k, c1, e)
         level_size = max(level_ratios)
         if not (lo < level_size <= min(hi, global_size) * (1 + 1e-12)):
             out.append(f"level {k}: size {level_size} outside "
@@ -346,13 +328,9 @@ def check_stopping_time_properties(decomp: TreeDecomposition,
         # Tops form a disjoint family above the largest dyadic level below the
         # formation threshold, so energy caps their mass at e / 2^n*.  When
         # c1 * e is a power of two this is exactly 2^(1-k)/c1.
-        n_star = math.floor(math.log2(lo))
-        while 2.0 ** n_star > lo:
-            n_star -= 1
-        while 2.0 ** (n_star + 1) <= lo:
-            n_star += 1
+        n_star = -1 - _level_below(1.0, lo)  # the largest n with 2^n <= lo
         mass = float(sum((t.top.length for t in trees), Fraction(0)))
-        bound = e_actual / 2.0 ** n_star
+        bound = math.ldexp(e_actual, -n_star)
         if mass > bound * (1 + 1e-12):
             out.append(f"level {k}: top mass {mass} exceeds {bound}")
     return out

@@ -10,7 +10,6 @@ All measure comparisons are exact integer cell counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -18,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dyadic import (DyadicInterval, DyadicRectangle, GridFunction1D,
-                     GridFunction2D, contains)
+                     GridFunction2D, _level_below, _times_pow2, contains)
 from .errors import ConfigError
 from .models import BilinearBlockSpec, bilinear_block
 from .operators import (HybridKind, hybrid_2d, maximal_function,
@@ -58,12 +57,7 @@ def _max_level(vstar: float, c: float, weight: float) -> int | None:
     """Largest n with c * 2^n * weight < vstar, or None if there is none."""
     if vstar <= 0 or weight <= 0:
         return None
-    n = math.ceil(math.log2(vstar / (c * weight))) - 1
-    while c * 2.0 ** (n + 1) * weight < vstar:
-        n += 1
-    while c * 2.0 ** n * weight >= vstar:
-        n -= 1
-    return n
+    return _level_below(vstar, c, weight)
 
 
 @dataclass
@@ -78,7 +72,7 @@ class LevelSetDecomposition1D:
     fraction: Fraction = Fraction(1, 10)
 
     def level_set(self, n: int) -> GridFunction1D:
-        thr = self.constant * 2.0 ** n * self.weight
+        thr = _times_pow2(n, self.constant, self.weight)
         return GridFunction1D(self.driver.grid,
                               (self.driver.samples > thr).astype(float))
 
@@ -229,26 +223,17 @@ def _pair_union(ax_vals: np.ndarray, wx: float, cx: float,
                 ay_vals: np.ndarray, wy: float, cy: float) -> np.ndarray:
     """Union over integer n of {A > cx 2^n wx} x {B > cy 2^{-n} wy} as a mask.
 
-    A point (x, y) belongs iff B(y) exceeds the y-threshold at the largest
-    level n*(x) qualifying on the x side.
+    With n_A(x) the largest n qualifying on the x side and n_B(y) the
+    largest m with B(y) > cy 2^m wy, a point (x, y) belongs iff
+    n_A(x) + n_B(y) >= 0.
     """
-    nx = ax_vals.shape[0]
-    ny = ay_vals.shape[0]
+    out = np.zeros((ax_vals.shape[0], ay_vals.shape[0]), dtype=bool)
     if wx <= 0 or wy <= 0:
-        return np.zeros((nx, ny), dtype=bool)
-    ratio = ax_vals / (cx * wx)
-    mask_x = ratio > 0
-    if not np.any(mask_x):
-        return np.zeros((nx, ny), dtype=bool)
-    r = ratio[mask_x]
-    nstar = np.ceil(np.log2(r)).astype(np.int64) - 1
-    # fix rounding: need the largest n with 2^n < ratio
-    for _ in range(2):
-        nstar[2.0 ** (nstar + 1.0) < r] += 1
-        nstar[2.0 ** nstar.astype(float) >= r] -= 1
-    thr_y = cy * wy * 2.0 ** (-nstar.astype(float))
-    out = np.zeros((nx, ny), dtype=bool)
-    out[mask_x, :] = ay_vals[None, :] > thr_y[:, None]
+        return out
+    pos_x, pos_y = ax_vals > 0, ay_vals > 0
+    n_b = np.full(ay_vals.shape, np.iinfo(np.int32).min, dtype=np.int32)  # B <= 0
+    n_b[pos_y] = _level_below(ay_vals[pos_y], cy, wy)
+    out[pos_x] = n_b[None, :] >= -_level_below(ax_vals[pos_x], cx, wx)[:, None]
     return out
 
 
@@ -396,7 +381,7 @@ def sparsity_check_1d(decomp: LevelSetDecomposition1D,
             if mass > j0.length / 2:
                 out.append(f"level {n}: mass {mass} around {j0} exceeds "
                            f"{j0.length / 2}")
-        floor_val = 2.0 ** (-7) * decomp.constant * 2.0 ** n * decomp.weight
+        floor_val = _times_pow2(n - 7, decomp.constant, decomp.weight)
         for j in decomp.buckets[n]:
             if float(np.min(decomp.driver.restrict(j))) <= floor_val:
                 out.append(f"level {n}: driver dips to "

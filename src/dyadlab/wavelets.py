@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .dyadic import DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D
+from .dyadic import DyadicInterval, Grid1D, GridFunction1D
 from .errors import ConfigError, DomainError, ResolutionError
 
 __all__ = [
@@ -290,29 +290,45 @@ def all_coefficients(f: GridFunction1D, collection: Iterable[DyadicInterval],
     return CoefficientSequence(data, collection)
 
 
-def all_coefficients_2d(h, rectangles: Iterable[DyadicRectangle],
-                        family_x: CutoffFamily,
-                        family_y: CutoffFamily) -> CoefficientSequence:
-    """<h, member_I tensor member_J> over a rectangle collection.
+def _stacked_members(family: CutoffFamily, grid: Grid1D, k: int,
+                     positions: np.ndarray) -> np.ndarray:
+    """Rows: the members on the intervals (k, n), n in positions, times the
+    cell width."""
+    w = float(grid.cell_width)
+    return np.array([family.member(DyadicInterval(k, int(n)), grid) * w
+                     for n in positions])
 
-    Separable: contract the y-axis member against h first, then the x member.
-    For Haar families this is exact; for smooth families it is the direct
-    quadrature computed column-by-column.
+
+def all_coefficients_2d(h, groups: Mapping[tuple[int, int], tuple],
+                        family_x: CutoffFamily,
+                        family_y: CutoffFamily) -> np.ndarray:
+    """<h, member_I tensor member_J> for every rectangle I x J, in rectangle order.
+
+    groups is dyadic.shape_groups of the rectangle list.  Haar x Haar is exact:
+    each shape is gathered from one 2D block-sum pyramid.  Any other pair is
+    the direct quadrature (Mx h My^T)[nx, ny] of each shape, with the members
+    of a scale stacked as the rows of Mx and My (cell widths included) and h
+    contracted once per x scale.
     """
-    rectangles = tuple(rectangles)
-    xs = sorted({r.x for r in rectangles})
-    ys = sorted({r.y for r in rectangles})
-    wy = float(h.grid_y.cell_width)
-    # partial[J] = <h(x, .), member_J> as a function of x (array over x cells)
-    partial: dict[DyadicInterval, np.ndarray] = {}
-    for J in ys:
-        member = family_y.member(J, h.grid_y)
-        partial[J] = h.samples @ (member * wy)
-    data = {}
-    gx = h.grid_x
-    per_x = {}
-    for I in xs:
-        per_x[I] = family_x.member(I, gx) * float(gx.cell_width)
-    for r in rectangles:
-        data[r] = float(np.dot(per_x[r.x], partial[r.y]))
-    return CoefficientSequence(data, rectangles)
+    out = np.zeros(sum(idx.size for idx, _, _ in groups.values()))
+    if not groups:
+        return out
+    if family_x.haar and family_y.haar:
+        # halves of the finest shapes are the finest blocks read
+        pyr = haar_pyramid_2d(h, np.min(list(groups), axis=0) - 1)
+        for s, (idx, nx, ny) in groups.items():
+            out[idx] = haar_gather_2d(pyr, s, nx, ny, family_x.lacunary,
+                                      family_y.lacunary)
+        return out
+    ux, uy = {}, {}  # scale -> sorted positions of the intervals used, per axis
+    for (kx, ky), (_, nx, ny) in groups.items():
+        ux[kx] = np.union1d(ux.get(kx, nx), nx)
+        uy[ky] = np.union1d(uy.get(ky, ny), ny)
+    my = {ky: _stacked_members(family_y, h.grid_y, ky, n) for ky, n in uy.items()}
+    for kx, nxs in ux.items():
+        part = _stacked_members(family_x, h.grid_x, kx, nxs) @ h.samples
+        for (sx, ky), (idx, nx, ny) in groups.items():
+            if sx == kx:
+                out[idx] = (part @ my[ky].T)[np.searchsorted(nxs, nx),
+                                             np.searchsorted(uy[ky], ny)]
+    return out

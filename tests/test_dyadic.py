@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -5,9 +7,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from dyadlab.dyadic import (DyadicInterval, DyadicRectangle, Grid1D,
-                            GridFunction1D, GridFunction2D, contains, disjoint,
-                            enumerate_dyadic, measure_intersection, tensor)
-from dyadlab.errors import DomainError, ResolutionError
+                            GridFunction1D, GridFunction2D, _level_below,
+                            contains, disjoint, enumerate_dyadic,
+                            measure_intersection, tensor)
+from dyadlab.errors import ConfigError, DomainError, ResolutionError
 
 
 intervals = st.builds(DyadicInterval,
@@ -135,3 +138,54 @@ def test_tensor_matches_pointwise_product():
 def test_rectangle_area():
     r = DyadicRectangle(DyadicInterval(-1, 0), DyadicInterval(2, 1))
     assert r.area == Fraction(1, 2) * 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_grid_functions_reject_non_finite_samples(bad):
+    g = Grid1D(0, 2)
+    samples = np.zeros(g.n_points, dtype=type(bad))
+    samples[1] = bad
+    with pytest.raises(ConfigError):
+        GridFunction1D(g, samples)
+    with pytest.raises(ConfigError):
+        GridFunction2D(g, g, np.tile(samples, (g.n_points, 1)))
+
+
+DBL_MAX = sys.float_info.max
+TINY = math.ldexp(1.0, -1074)  # the smallest subnormal
+positive_floats = st.one_of(
+    st.floats(min_value=TINY, max_value=DBL_MAX),
+    st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e)))
+
+
+def _level_below_reference(num: float, den: float) -> int:
+    """Largest n with den 2^n < num, in exact rational arithmetic."""
+    q = Fraction(num) / Fraction(den)
+    n = q.numerator.bit_length() - q.denominator.bit_length()
+    while Fraction(2) ** n >= q:
+        n -= 1
+    while Fraction(2) ** (n + 1) < q:
+        n += 1
+    return n
+
+
+@given(positive_floats, positive_floats)
+@example(TINY, 1.0)
+@example(1.0, TINY)
+@example(DBL_MAX, TINY)
+@example(TINY, DBL_MAX)
+@example(DBL_MAX, DBL_MAX)
+@example(1.0, 1.0)
+@example(3 * TINY, 2.0)
+def test_level_below_matches_fraction_reference(num, den):
+    want = _level_below_reference(num, den)
+    assert _level_below(num, den) == want
+    assert _level_below(np.array([num, num]), den).tolist() == [want, want]
+    assert _level_below(num) == _level_below_reference(num, 1.0)
+
+
+@given(positive_floats, st.floats(1e-150, 1e150), st.floats(1e-150, 1e150))
+def test_level_below_two_factors_reads_the_float_product(num, c, w):
+    """With c * w a normal float, the level against the factors c and w is
+    the level against their float product: c 2^n w < num as it is written."""
+    assert _level_below(num, c, w) == _level_below_reference(num, c * w)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +167,31 @@ def test_multilinear_form_examples():
     dual = GridFunction2D(G, G, rng.standard_normal((G.n_points, G.n_points)))
     slow = float(np.sum(out.samples * dual.samples) * out.cell_area)
     assert multilinear_form(spec, *fs, h, dual) == pytest.approx(slow, abs=1e-12)
+
+
+@pytest.mark.parametrize("which", MODEL_NAMES)
+def test_multilinear_form_smooth_matches_model_pairing(which):
+    spec = _tiny_spec(which, "smooth", seed=16)
+    fs, h, rng = _random_inputs(9)
+    dual = GridFunction2D(G, G, rng.standard_normal((G.n_points, G.n_points)))
+    out = model_operator(spec, *fs, h)
+    slow = float(np.sum(out.samples * dual.samples) * out.cell_area)
+    assert slow != 0.0
+    assert multilinear_form(spec, *fs, h, dual) == pytest.approx(slow, abs=1e-12)
+
+
+@pytest.mark.parametrize("flavor", ["haar", "smooth"])
+def test_model_repeated_rectangle_counts_twice(flavor):
+    """The output is the sum of one term per listed rectangle."""
+    spec = _tiny_spec("flag0_flag0", flavor, seed=17)
+    fs, h, _ = _random_inputs(10)
+    first, rest = spec.rectangles[0], spec.rectangles[1:]
+    doubled = replace(spec, rectangles=(first,) + rest + (first,))
+    terms = [model_operator(replace(spec, rectangles=(r,)), *fs, h).samples
+             for r in doubled.rectangles]
+    got = model_operator(doubled, *fs, h).samples
+    assert np.max(np.abs(terms[0])) > 0
+    assert np.max(np.abs(got - sum(terms))) <= 1e-12
 
 
 def test_enlargement_filtered_terms_do_not_contribute():

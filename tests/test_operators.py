@@ -12,7 +12,7 @@ from dyadlab.operators import (HybridKind, estimate_operator_norm, hybrid_2d,
                                maximal_1d, maximal_function, maximal_function_2d,
                                square_1d)
 from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
-                              SMOOTH_NONLACUNARY, all_coefficients_2d)
+                              SMOOTH_NONLACUNARY)
 
 
 def test_maximal_examples():
@@ -190,14 +190,21 @@ def test_maximal_recurrence_matches_brute_force(bx, rx, by, ry, seed):
     assert np.array_equal(maximal_function(f).samples, _brute_maximal(f.samples, (gx,)))
 
 
+def _quadrature_2d(h, r, fx, fy) -> float:
+    """<h, member_I tensor member_J> by direct quadrature on the grid."""
+    mx = fx.member(r.x, h.grid_x)
+    my = fy.member(r.y, h.grid_y)
+    return float(mx @ h.samples @ my) * float(h.grid_x.cell_width) \
+        * float(h.grid_y.cell_width)
+
+
 def _square_per_rectangle(h, rects, fx, fy) -> np.ndarray:
     """sqrt(sum_R |c_R|^2 / |R| chi_R), one rectangle slice at a time."""
-    coeffs = all_coefficients_2d(h, rects, fx, fy)
     acc = np.zeros(h.samples.shape)
-    for r, c in coeffs.items():
+    for r in rects:
         a, b = h.grid_x.cell_range(r.x)
         c0, c1 = h.grid_y.cell_range(r.y)
-        acc[a:b, c0:c1] += abs(c) ** 2 / float(r.area)
+        acc[a:b, c0:c1] += abs(_quadrature_2d(h, r, fx, fy)) ** 2 / float(r.area)
     return np.sqrt(acc)
 
 
@@ -223,8 +230,55 @@ def test_square_per_shape_rejects_unresolved_rectangles():
     h = GridFunction2D.zeros(g, g)
     fine = DyadicRectangle(DyadicInterval(-4, 0), DyadicInterval(0, 0))
     outside = DyadicRectangle(DyadicInterval(0, 1), DyadicInterval(0, 0))
-    for kind in ("SS", "SS_H"):
+    for kind in ("SS", "SS_H", "MS", "MS_H", "SM", "SM_H"):
         with pytest.raises(ResolutionError):
             hybrid_2d(h, kind, [fine])
         with pytest.raises(DomainError):
             hybrid_2d(h, kind, [outside])
+
+
+def _hybrid_per_rectangle(h, rects, kind) -> np.ndarray:
+    """MS or SM as displayed, one x interval and one rectangle at a time."""
+    haar = kind.endswith("_H")
+    lac = HAAR_LACUNARY if haar else SMOOTH_LACUNARY
+    nonlac = HAAR_NONLACUNARY if haar else SMOOTH_NONLACUNARY
+    ms = kind.startswith("MS")
+    fx, fy = (nonlac, lac) if ms else (lac, nonlac)
+    gx, gy = h.grid_x, h.grid_y
+    out = np.zeros(h.samples.shape)
+    for I in sorted({r.x for r in rects}):
+        inner = np.zeros(gy.n_points)
+        for r in rects:
+            if r.x != I:
+                continue
+            c = abs(_quadrature_2d(h, r, fx, fy))
+            c0, c1 = gy.cell_range(r.y)
+            if ms:
+                inner[c0:c1] += c ** 2 / float(r.y.length)
+            else:
+                np.maximum(inner[c0:c1], c / float(r.y.length), out=inner[c0:c1])
+        a, b = gx.cell_range(I)
+        if ms:
+            np.maximum(out[a:b], np.sqrt(inner / float(I.length))[None, :],
+                       out=out[a:b])
+        else:
+            out[a:b] += inner[None, :] / float(I.length)
+    return out if ms else np.sqrt(out)
+
+
+@given(st.integers(0, 1), st.integers(2, 4), st.integers(0, 1), st.integers(2, 4),
+       st.integers(0, 2 ** 31 - 1), st.sampled_from(["MS_H", "MS", "SM_H", "SM"]))
+@settings(max_examples=30, deadline=None)
+def test_max_square_per_shape_matches_per_rectangle(bx, rx, by, ry, seed, kind):
+    """x and y may differ in box and resolution; the rectangle list is a
+    shuffled subset with repeats."""
+    gx, gy = Grid1D(bx, rx), Grid1D(by, ry)
+    rng = np.random.default_rng(seed)
+    h = GridFunction2D(gx, gy, rng.standard_normal((gx.n_points, gy.n_points)))
+    rects = [DyadicRectangle(i, j) for i in enumerate_dyadic(gx, 1 - rx, bx)
+             for j in enumerate_dyadic(gy, 1 - ry, by)]
+    rects = [rects[int(i)] for i in rng.integers(0, len(rects), len(rects))]
+    want = _hybrid_per_rectangle(h, rects, kind)
+    got = hybrid_2d(h, kind, rects).samples
+    assert np.max(want) > 0
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(want)))

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from dyadlab.dyadic import (DyadicInterval, Grid1D, GridFunction1D, contains,
                             disjoint, enumerate_dyadic)
 from dyadlab.errors import ConfigError
-from dyadlab.size_energy import (SizeEnergyReport, bmo_norm,
-                                 check_stopping_time_properties, energy, size,
-                                 size_energy_bound_check,
+from dyadlab.size_energy import (SizeEnergyReport, Tree, TreeDecomposition,
+                                 bmo_norm, check_stopping_time_properties,
+                                 energy, size, size_energy_bound_check,
                                  stopping_time_maximal, weak_l1_norm)
 from dyadlab.wavelets import CoefficientSequence
 
@@ -261,3 +261,37 @@ def test_report_serialization():
     rep = size(CoefficientSequence({UNIT: 1.0}), [UNIT], False)
     text = rep.to_text()
     assert "kind: size" in text and "witness_interval" in text
+
+
+def test_weak_l1_of_nan_samples_is_a_config_error():
+    with pytest.raises(ConfigError):
+        weak_l1_norm(GridFunction1D(G, np.full(G.n_points, np.nan)))
+
+
+def test_energy_of_a_ratio_near_dbl_max():
+    """The ratio 1.7e308 sits on level 1023 (2^1023 < r < 2^1024)."""
+    rep = energy(CoefficientSequence({UNIT: 1.7e308}), [UNIT])
+    assert rep.witness_level == 1023
+    assert rep.value == math.ldexp(1.0, 1023)
+
+
+def test_stopping_time_level_above_the_float_powers():
+    """Ratio 1e300 against c1 E = 1e-20: the tree level k, with
+    c1 2^{k-1} E < r <= c1 2^k E, lies beyond 2^1023."""
+    seq = CoefficientSequence({UNIT: 1e300})
+    decomp = stopping_time_maximal(seq, [UNIT], 1.0, base_value=1e-20)
+    (k,) = decomp.levels
+    assert k > 1024
+    assert math.ldexp(1e-20, k - 1) < 1e300 <= math.ldexp(1e-20, k)
+    assert check_stopping_time_properties(decomp, seq, [UNIT]) == []
+
+
+def test_stopping_check_reports_the_top_mass_bound():
+    """A hand-made level-2 tree with c1 E = 1: the tops may carry at most
+    E_actual / 2^n* with 2^n* <= c1 2^{k-1} E = 2, so n* = 1 and the weak
+    energy 1/2 of a unit ratio caps the mass at 1/4."""
+    seq = CoefficientSequence({UNIT: 1.0})
+    decomp = TreeDecomposition({2: (Tree(UNIT, (UNIT,)),)}, base_value=1.0, c1=1.0)
+    assert check_stopping_time_properties(decomp, seq, [UNIT]) == [
+        "level 2: size 1.0 outside (2.0, min(4.0, 1.0)]",
+        "level 2: top mass 1.0 exceeds 0.25"]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,8 @@ from dyadlab.stopping import (build_exceptional_set, check_index_observation_I,
                               level_decomposition_1d,
                               level_set_decomposition_2d, sparsity_check_1d,
                               sparsity_check_2d, tensor_decomposition_I,
-                              tensor_decomposition_II, union_measure)
+                              tensor_decomposition_II, union_measure,
+                              _pair_union)
 from dyadlab.wavelets import CoefficientSequence
 
 G = Grid1D(1, 7)  # box [0,2)
@@ -266,3 +268,36 @@ def test_sparsity_2d_multi_level():
                    for j in ys})
     lhs, rhs = sparsity_check_2d(rect, decomp)
     assert lhs <= 10 * rhs
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_level_decomposition_rejects_non_finite_driver(bad):
+    g = Grid1D(0, 3)
+    samples = np.ones(g.n_points)
+    samples[2] = bad
+    with pytest.raises(ConfigError):
+        level_decomposition_1d([UNIT], GridFunction1D(g, samples), 1.0, 1.0)
+
+
+def test_level_decomposition_with_a_subnormal_threshold():
+    """c w = 1e-300 * 1e-10 is subnormal; the level n with c 2^n w < 1 lies
+    beyond 2^1023."""
+    g = Grid1D(0, 3)
+    decomp = level_decomposition_1d([UNIT], GridFunction1D(g, np.ones(g.n_points)),
+                                    1e-300, 1e-10)
+    (n,) = decomp.buckets
+    assert math.ldexp(1e-300, n) * 1e-10 < 1.0 <= math.ldexp(1e-300, n + 1) * 1e-10
+    assert decomp.level_set(n).samples.all()
+    assert sparsity_check_1d(decomp) == []
+
+
+def test_pair_union_levels_near_dbl_max():
+    """A = 1.7e308 sits on level 1023; no power of two may overflow."""
+    a = np.array([1.7e308, 0.0, 1.0, 1.5])
+    b = np.array([1.0, 1e-300, 0.0, 1.5])
+    with np.errstate(all="raise"):
+        mask = _pair_union(a, 1.0, 1.0, b, 1.0, 1.0)
+    # {A > 2^n} x {B > 2^-n}: n = 1023 admits every nonzero B, A = 1 needs
+    # n < 0 and so B > 2, and A = B = 1.5 meet at n = 0
+    assert mask.tolist() == [[True, True, False, True], [False] * 4,
+                             [False] * 4, [False, False, False, True]]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dyadlab.dyadic import (DyadicInterval, DyadicRectangle, Grid1D,
                             GridFunction1D, GridFunction2D, contains,
-                            enumerate_dyadic)
+                            enumerate_dyadic, shape_groups)
 from dyadlab.errors import ConfigError, DomainError, ResolutionError
 from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
                               SMOOTH_NONLACUNARY, CoefficientSequence,
@@ -174,6 +174,14 @@ def test_coefficient_sequence_rejects_strays():
         CoefficientSequence({UNIT: 1.0}, (DyadicInterval(-1, 0),))
 
 
+def _quadrature_2d(h, r, fx, fy) -> float:
+    """<h, member_I tensor member_J> by direct quadrature on the grid."""
+    mx = fx.member(r.x, h.grid_x)
+    my = fy.member(r.y, h.grid_y)
+    return float(mx @ h.samples @ my) * float(h.grid_x.cell_width) \
+        * float(h.grid_y.cell_width)
+
+
 def test_haar_pyramid_2d_matches_direct():
     g = Grid1D(0, 4)
     rng = np.random.default_rng(9)
@@ -181,10 +189,10 @@ def test_haar_pyramid_2d_matches_direct():
     pyr = haar_pyramid_2d(h)
     rects = [DyadicRectangle(i, j)
              for i in enumerate_dyadic(g, -2, 0) for j in enumerate_dyadic(g, -2, 0)]
-    direct = all_coefficients_2d(h, rects, HAAR_LACUNARY, HAAR_LACUNARY)
     for r in rects:
         fast = haar_gather_2d(pyr, (r.x.k, r.y.k), [r.x.n], [r.y.n], True, True)
-        assert fast[0] == pytest.approx(direct[r], abs=1e-12)
+        direct = _quadrature_2d(h, r, HAAR_LACUNARY, HAAR_LACUNARY)
+        assert abs(fast[0] - direct) <= 1e-12
     coarse = haar_pyramid_2d(h, (-1, -3))  # keeps only the levels it is asked for
     assert set(coarse) == {k for k in pyr if k[0] >= -1 and k[1] >= -3}
     assert all(np.array_equal(coarse[k], pyr[k]) for k in coarse)
@@ -219,3 +227,37 @@ def test_haar_gather_rejects_unresolved_shapes():
         haar_gather_2d(pyr, (-2, 0), [0], [0], True, False)
     with pytest.raises(DomainError):
         haar_gather_2d(pyr, (-1, 0), [2], [0], True, False)
+
+
+_FAMILY_PAIRS = [(SMOOTH_LACUNARY, SMOOTH_LACUNARY),
+                 (SMOOTH_NONLACUNARY, SMOOTH_LACUNARY),
+                 (HAAR_LACUNARY, SMOOTH_NONLACUNARY),
+                 (SMOOTH_LACUNARY, HAAR_NONLACUNARY),
+                 (HAAR_NONLACUNARY, HAAR_LACUNARY)]
+
+
+@given(st.integers(0, 1), st.integers(1, 4), st.integers(0, 1), st.integers(1, 4),
+       st.sampled_from(_FAMILY_PAIRS), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_all_coefficients_2d_matches_quadrature(bx, rx, by, ry, families, seed):
+    """The kernel, in rectangle order, on a shuffled rectangle list with
+    repeats, against one direct quadrature per rectangle."""
+    gx, gy = Grid1D(bx, rx), Grid1D(by, ry)
+    fx, fy = families
+    rng = np.random.default_rng(seed)
+    h = GridFunction2D(gx, gy, rng.standard_normal((gx.n_points, gy.n_points)))
+    rects = [DyadicRectangle(i, j)
+             for i in enumerate_dyadic(gx, int(fx.lacunary) - rx, bx)
+             for j in enumerate_dyadic(gy, int(fy.lacunary) - ry, by)]
+    rects = [rects[int(i)] for i in rng.integers(0, len(rects), len(rects) + 3)]
+    got = all_coefficients_2d(h, shape_groups(rects), fx, fy)
+    assert got.shape == (len(rects),)
+    for c, r in zip(got, rects):
+        assert abs(c - _quadrature_2d(h, r, fx, fy)) <= 1e-12
+
+
+def test_all_coefficients_2d_empty():
+    g = Grid1D(0, 2)
+    out = all_coefficients_2d(GridFunction2D.zeros(g, g), shape_groups([]),
+                              SMOOTH_LACUNARY, SMOOTH_LACUNARY)
+    assert out.shape == (0,)
