@@ -312,7 +312,13 @@ def model_spec_from_config(config: ExperimentConfig, grid_x: Grid1D,
 
 def weak_type_trial(config: ExperimentConfig, trial_seed, res_exp: int,
                     depth: int) -> dict:
-    """One restricted weak-type trial; returns the measured record."""
+    """One restricted weak-type trial; returns the measured record.
+
+    E is placed on a 1/64-aligned bitmap, so the grids need res_exp >= 6.
+    """
+    if res_exp < 6:
+        raise ConfigError("res_exp: the weak-type set E needs res_exp >= 6, "
+                          f"got {res_exp}")
     rng = _rng(trial_seed)
     gx = Grid1D(config.box_exp, res_exp)
     gy = Grid1D(config.box_exp, res_exp)

@@ -143,6 +143,15 @@ def _grid_n(f: GridFunction1D) -> int:
     return f.grid.n_points
 
 
+def _shared_grid_n(f1, f2, g1, g2, h) -> int:
+    """The grid size N of the five multiplier inputs, which must all agree."""
+    n = _grid_n(f1)
+    if not (_grid_n(f2) == _grid_n(g1) == _grid_n(g2)
+            == h.grid_x.n_points == h.grid_y.n_points == n):
+        raise ConfigError("all five inputs must share one grid size")
+    return n
+
+
 def _fft1(f: GridFunction1D) -> np.ndarray:
     return np.fft.fft(np.asarray(f.samples, dtype=complex)) / _grid_n(f)
 
@@ -220,9 +229,13 @@ def _completion_windows(k1: int, k2: int, xs: np.ndarray):
     """
     comp3 = mother_phi_hat(xs / 2.0 ** (k1 + 2))
     comp1 = mother_phi_hat(xs / 2.0 ** (k2 - 1))
+    return comp3, comp1, _widened_annulus(k2, xs)
+
+
+def _widened_annulus(k2: int, xs: np.ndarray) -> np.ndarray:
+    """The final window psi3 of a scale pair: it depends on the top scale only."""
     u = np.abs(xs) / 2.0 ** k2
-    psi3 = mother_phi_hat(u / 4.0) * (1.0 - mother_phi_hat(4.0 * u))
-    return comp3, comp1, psi3
+    return mother_phi_hat(u / 4.0) * (1.0 - mother_phi_hat(4.0 * u))
 
 
 def _axis_pairs(spec_a: SymbolSpec, spec_b: SymbolSpec, n: int) -> list[tuple[int, int]]:
@@ -299,10 +312,7 @@ def apply_multiplier(a: SymbolSpec, b: SymbolSpec, f1: GridFunction1D,
     delegate to the convolution cascade, which computes the identical sum.
     tabulated pairs run the dense six-fold sum and are capped at N = 16.
     """
-    n = _grid_n(f1)
-    if not (_grid_n(f2) == _grid_n(g1) == _grid_n(g2)
-            == h.grid_x.n_points == h.grid_y.n_points == n):
-        raise ConfigError("all five inputs must share one grid size")
+    n = _shared_grid_n(f1, f2, g1, g2, h)
     if a.kind != b.kind:
         raise ConfigError("mixed symbol kinds are not supported")
     if a.kind == "constant_one":
@@ -347,33 +357,39 @@ def apply_multiplier(a: SymbolSpec, b: SymbolSpec, f1: GridFunction1D,
     return GridFunction2D(h.grid_x, h.grid_y, out.real)
 
 
-def _conv_window(samples: np.ndarray, window: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(np.fft.fft(samples) * window)
-
-
 def special_symbol_cascade(a: SymbolSpec, b: SymbolSpec, f1, f2, g1, g2, h
                            ) -> GridFunction2D:
     """FFT-convolution evaluation of the cross-scale band-product symbol.
 
-    For each admissible scale pair, the two low-frequency factors are banded
-    and multiplied, smoothed through the completion low-pass windows, matched
-    against the annulus piece of h, and the product is pushed through the
-    final widened-annulus window; everything sums over pairs on both axes.
+    Per axis and admissible scale pair (k1, k2), the two inputs are banded at
+    k1 and multiplied, and the product is smoothed through the completion
+    low-pass windows.  These blocks are summed over k1, leaving one block per
+    top scale k2.  For each pair of top scales (k2 on x, j2 on y), the tensor
+    product of the two blocks meets the annulus piece of h at (k2, j2) and
+    goes through the widened-annulus window of (k2, j2); the results are
+    summed in frequency and transformed back once.
+
+    Summing over k1 first is exact, not an approximation: the h annulus and
+    the widened annulus psi3 of a pair depend on its top scale alone, and
+    the output is linear in each axis block.  It gives the same sum as one
+    pass per ((k1, k2), (j1, j2)) in 2 + 2 |K2|^2 two-dimensional FFTs, K2
+    the top scales, against three per pass.
     """
     _check_special(a, b)
-    n = _grid_n(f1)
+    n = _shared_grid_n(f1, f2, g1, g2, h)
     pairs = _axis_pairs(a, b, n)
     xs = _sym_freqs(n).astype(float)
 
     def axis_blocks(types, u1: GridFunction1D, u2: GridFunction1D):
+        u1h = np.fft.fft(np.asarray(u1.samples, dtype=complex))
+        u2h = np.fft.fft(np.asarray(u2.samples, dtype=complex))
         blocks = {}
         for (k1, k2) in pairs:
-            w1 = _band_window(types[0], k1, xs)
-            w2 = _band_window(types[1], k1, xs)
             comp3, comp1, _ = _completion_windows(k1, k2, xs)
-            p1 = _conv_window(np.asarray(u1.samples, dtype=complex), w1)
-            p2 = _conv_window(np.asarray(u2.samples, dtype=complex), w2)
-            blocks[(k1, k2)] = _conv_window(p1 * p2, comp3 * comp1)
+            p1 = np.fft.ifft(u1h * _band_window(types[0], k1, xs))
+            p2 = np.fft.ifft(u2h * _band_window(types[1], k1, xs))
+            block = np.fft.ifft(np.fft.fft(p1 * p2) * (comp3 * comp1))
+            blocks[k2] = blocks[k2] + block if k2 in blocks else block
         return blocks
 
     xblocks = axis_blocks((a.x_types[0], a.x_types[1]), f1, f2)
@@ -381,17 +397,16 @@ def special_symbol_cascade(a: SymbolSpec, b: SymbolSpec, f1, f2, g1, g2, h
 
     hspec = np.fft.fft2(np.asarray(h.samples, dtype=complex))
     acc = np.zeros((n, n), dtype=complex)
-    for (k1, k2) in pairs:
+    for k2, xblock in xblocks.items():
         dx = psi_hat_band(xs, k2)
-        _, _, px = _completion_windows(k1, k2, xs)
-        for (j1, j2) in pairs:
+        px = _widened_annulus(k2, xs)
+        for j2, yblock in yblocks.items():
             dy = psi_hat_band(xs, j2)
-            _, _, py = _completion_windows(j1, j2, xs)
+            py = _widened_annulus(j2, xs)
             hband = np.fft.ifft2(hspec * np.outer(dx, dy))
-            core = (xblocks[(k1, k2)][:, None] * yblocks[(j1, j2)][None, :]
-                    * hband)
-            acc += np.fft.ifft2(np.fft.fft2(core) * np.outer(px, py))
-    return GridFunction2D(h.grid_x, h.grid_y, acc.real)
+            core = xblock[:, None] * yblock[None, :] * hband
+            acc += np.fft.fft2(core) * np.outer(px, py)
+    return GridFunction2D(h.grid_x, h.grid_y, np.fft.ifft2(acc).real)
 
 
 @dataclass(frozen=True)

@@ -271,12 +271,11 @@ def stopping_time_maximal(seq: CoefficientSequence,
              if positive else None)
         while k is not None:
             threshold = _times_pow2(k - 1, c1, base)
-            while True:
-                candidates = [iv for iv in positive
-                              if iv in unassigned and ratios[iv] > threshold]
-                if not candidates:
-                    break
-                top = candidates[0]  # largest, then leftmost (presorted)
+            # the threshold is fixed and unassigned only shrinks, so each next
+            # top (largest, then leftmost) lies after the previous one
+            for top in positive:
+                if top not in unassigned or not ratios[top] > threshold:
+                    continue
                 members = tuple(sorted((iv for iv in unassigned if contains(top, iv)),
                                        key=lambda iv: (-iv.k, iv.n)))
                 unassigned.difference_update(members)

@@ -147,6 +147,17 @@ def test_negative_seed_is_a_config_error(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_weak_type_below_res_exp_6_is_a_config_error(capsys):
+    """E lives on a 1/64-aligned bitmap: coarser grids cannot hold it."""
+    cfg = ExperimentConfig(kind="weak_type_sweep", box_exp=1, res_exp=5,
+                           depth=2, trials=1, seed=0)
+    with pytest.raises(ConfigError):
+        weak_type_trial(cfg, 0, 5, 2)
+    assert cli_main(["weaktype", "--grid-exp", "5", "--depth", "2",
+                     "--trials", "1"]) == 2
+    assert "res_exp" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["oracle", "--seed", "1", "--trials", "2"]) == 0
     out = capsys.readouterr().out

@@ -14,6 +14,7 @@ from dyadlab.multiplier import (ExponentTuple, SymbolSpec, apply_multiplier,
 N = 16
 G16 = Grid1D(0, 4)
 G32 = Grid1D(0, 5)
+G64 = Grid1D(0, 6)
 
 
 def _rand1(rng, g):
@@ -99,6 +100,46 @@ def _special_pair(gap=3):
     return a, b
 
 
+def _cascade_per_pair(a, b, f1, f2, g1, g2, h) -> np.ndarray:
+    """Reference cascade: one pass per pair of scale pairs, no regrouping.
+
+    Every ((k1, k2), (j1, j2)) gets its own banded blocks, its own h annulus
+    and its own final window, three 2D FFTs per pass.
+    """
+    from dyadlab.multiplier import (_axis_pairs, _band_window,
+                                    _completion_windows, _sym_freqs,
+                                    psi_hat_band)
+    n = f1.grid.n_points
+    pairs = _axis_pairs(a, b, n)
+    xs = _sym_freqs(n).astype(float)
+
+    def conv(samples, window):
+        return np.fft.ifft(np.fft.fft(samples) * window)
+
+    def blocks(types, u1, u2):
+        out = {}
+        for (k1, k2) in pairs:
+            comp3, comp1, _ = _completion_windows(k1, k2, xs)
+            p1 = conv(u1.samples.astype(complex), _band_window(types[0], k1, xs))
+            p2 = conv(u2.samples.astype(complex), _band_window(types[1], k1, xs))
+            out[(k1, k2)] = conv(p1 * p2, comp3 * comp1)
+        return out
+
+    xb = blocks(a.x_types[:2], f1, f2)
+    yb = blocks(a.y_types[:2], g1, g2)
+    hspec = np.fft.fft2(h.samples.astype(complex))
+    acc = np.zeros((n, n), dtype=complex)
+    for (k1, k2) in pairs:
+        px = _completion_windows(k1, k2, xs)[2]
+        for (j1, j2) in pairs:
+            py = _completion_windows(j1, j2, xs)[2]
+            band = np.outer(psi_hat_band(xs, k2), psi_hat_band(xs, j2))
+            hband = np.fft.ifft2(hspec * band)
+            core = xb[(k1, k2)][:, None] * yb[(j1, j2)][None, :] * hband
+            acc += np.fft.ifft2(np.fft.fft2(core) * np.outer(px, py))
+    return acc.real
+
+
 class TestApplyMultiplier:
     def test_constant_symbol_is_pointwise_product(self):
         rng = np.random.default_rng(4)
@@ -142,17 +183,41 @@ class TestApplyMultiplier:
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     def test_cascade_matches_direct_sum(self):
+        # N = 32 has one scale pair per axis; N = 64 has (0, 4), (0, 5) and
+        # (1, 5), so the cascade sums two blocks for the top scale 5
         rng = np.random.default_rng(7)
         a, b = _special_pair()
         worst = 0.0
-        for _ in range(5):
-            fs = [_rand1(rng, G32) for _ in range(4)]
-            h = _rand2(rng, G32)
-            direct = apply_multiplier(a, b, *fs, h)
-            cascade = special_symbol_cascade(a, b, *fs, h)
-            worst = max(worst, float(np.max(np.abs(direct.samples
-                                                   - cascade.samples))))
+        for g in (G32, G64):
+            for _ in range(5):
+                fs = [_rand1(rng, g) for _ in range(4)]
+                h = _rand2(rng, g)
+                direct = apply_multiplier(a, b, *fs, h)
+                cascade = special_symbol_cascade(a, b, *fs, h)
+                worst = max(worst, float(np.max(np.abs(direct.samples
+                                                       - cascade.samples))))
         assert worst <= 1e-9
+
+    @pytest.mark.parametrize("res_exp", [7, 8])
+    def test_cascade_matches_per_pair_passes(self, res_exp):
+        g = Grid1D(0, res_exp)
+        rng = np.random.default_rng(12 + res_exp)
+        a, b = _special_pair()
+        fs = [_rand1(rng, g) for _ in range(4)]
+        h = _rand2(rng, g)
+        ref = _cascade_per_pair(a, b, *fs, h)
+        out = special_symbol_cascade(a, b, *fs, h).samples
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_mismatched_grids_rejected(self):
+        rng = np.random.default_rng(11)
+        a, b = _special_pair()
+        for slot in range(5):
+            ins = [_rand1(rng, G32) for _ in range(4)] + [_rand2(rng, G32)]
+            ins[slot] = _rand1(rng, G64) if slot < 4 else _rand2(rng, G64)
+            for fn in (apply_multiplier, special_symbol_cascade):
+                with pytest.raises(ConfigError):
+                    fn(a, b, *ins)
 
     def test_gap_too_large_raises(self):
         a, b = _special_pair(gap=20)

@@ -4,6 +4,10 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
+from dyadlab.errors import ConfigError
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -32,3 +36,16 @@ def test_leibniz_homogeneity_script(capsys):
     rows = _csv_rows(capsys.readouterr().out)
     assert len(rows) == 6  # two orders, three dilations each
     assert all(math.isfinite(float(r[-1])) for r in rows)
+
+
+def test_weak_type_stability_script(capsys):
+    # at this size the growth bound does not hold; VIOLATED is a result here
+    main = _main("weak_type_stability")
+    assert main(["--trials", "1", "--res-exps", "6", "7",
+                 "--depths", "2", "3"]) in (0, 1)
+    ratios = [line.split(": ") for line in capsys.readouterr().out.splitlines()
+              if line.startswith("ratio[")]
+    assert len(ratios) == 4  # two res_exps by two depths
+    assert all(math.isfinite(float(value)) for _, value in ratios)
+    with pytest.raises(ConfigError):
+        main(["--trials", "1", "--res-exps", "5", "--depths", "2"])

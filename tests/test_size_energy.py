@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyadlab.dyadic import (DyadicInterval, Grid1D, GridFunction1D, contains,
-                            disjoint, enumerate_dyadic)
+from dyadlab.dyadic import (DyadicInterval, Grid1D, GridFunction1D, _level_below,
+                            _times_pow2, contains, disjoint, enumerate_dyadic)
 from dyadlab.errors import ConfigError
 from dyadlab.size_energy import (SizeEnergyReport, Tree, TreeDecomposition,
                                  bmo_norm, check_stopping_time_properties,
-                                 energy, size, size_energy_bound_check,
+                                 energy, interval_ratios, size,
+                                 size_energy_bound_check,
                                  stopping_time_maximal, weak_l1_norm)
 from dyadlab.wavelets import CoefficientSequence
 
@@ -214,6 +215,68 @@ def test_stopping_time_sandwich_and_mass(seed, c1):
         seq = seq.scaled(1.0 / e)
     decomp = stopping_time_maximal(seq, ivs, c1)
     assert check_stopping_time_properties(decomp, seq, ivs) == []
+
+
+def _stopping_time_rescanning(seq, collection, c1, lacunary, grid):
+    """Reference stopping time: each new tree top comes from a fresh scan of
+    every positive interval for the first unassigned one above the level's
+    threshold."""
+    order = lambda iv: (-iv.k, iv.n)
+    collection = tuple(collection)
+    ratios = interval_ratios(seq, collection, lacunary, grid)
+    base = energy(seq, collection, "weak_1inf", lacunary=lacunary, grid=grid).value
+    unassigned = set(collection)
+    levels = {}
+    if base > 0:
+        positive = sorted((iv for iv in collection if ratios[iv] > 0), key=order)
+        k = (max(_level_below(ratios[iv], c1, base) for iv in positive) + 1
+             if positive else None)
+        while k is not None:
+            threshold = _times_pow2(k - 1, c1, base)
+            while True:
+                candidates = [iv for iv in positive
+                              if iv in unassigned and ratios[iv] > threshold]
+                if not candidates:
+                    break
+                top = candidates[0]
+                members = tuple(sorted((iv for iv in unassigned
+                                        if contains(top, iv)), key=order))
+                unassigned.difference_update(members)
+                levels.setdefault(k, []).append(Tree(top, members))
+            remaining = [ratios[iv] for iv in unassigned if ratios[iv] > 0]
+            if not remaining:
+                break
+            k = max(_level_below(r, c1, base) + 1 for r in remaining)
+    bottom = []
+    while unassigned:
+        top = min(unassigned, key=order)
+        members = tuple(sorted((iv for iv in unassigned if contains(top, iv)),
+                               key=order))
+        unassigned.difference_update(members)
+        bottom.append(Tree(top, members))
+    return TreeDecomposition({k: tuple(v) for k, v in levels.items()},
+                             tuple(bottom), (), base, c1)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1.0, 2.0, 2.0 ** 10]),
+       st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_stopping_time_matches_rescanning_reference(seed, c1, lacunary, small_ints):
+    """Small integer coefficients put ratios on level thresholds and tie
+    them; normal ones with a third zeroed fill the bottom bucket."""
+    rng = np.random.default_rng(seed)
+    ivs = enumerate_dyadic(G, -4, 0)
+    if small_ints:
+        raw = {iv: float(rng.integers(-3, 4)) for iv in ivs}
+    else:
+        raw = {iv: 0.0 if rng.random() < 0.3 else float(rng.standard_normal())
+               for iv in ivs}
+    seq = CoefficientSequence(raw, tuple(ivs))
+    decomp = stopping_time_maximal(seq, ivs, c1, lacunary=lacunary, grid=G)
+    ref = _stopping_time_rescanning(seq, ivs, c1, lacunary, G)
+    assert decomp.levels == ref.levels  # levels, tops and members, in order
+    assert decomp.bottom == ref.bottom
+    assert decomp == ref
 
 
 def test_stopping_time_serialization():
