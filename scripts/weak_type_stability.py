@@ -35,8 +35,9 @@ def main(argv=None) -> int:
         out=args.out,
         p1=4.0 / 3.0, q1=4.0, p2=4.0, q2=4.0 / 3.0, s=1.5)
     report = run(config)
-    for key, value in sorted(report.aggregates.items()):
-        print(f"{key}: {value}")
+    for section in (report.aggregates, report.timings):
+        for key, value in sorted(section.items()):
+            print(f"{key}: {value}")
     growth = report.aggregates.get("max_doubling_growth", 1.0)
     ok = growth <= 1.10 and report.aggregates["e_prime_pass_rate"] >= 0.99
     print("stability:", "OK" if ok else "VIOLATED")

@@ -83,8 +83,9 @@ def main(argv=None) -> int:
         if "name" in record:
             status = "PASS" if record.get("passed", True) else "FAIL"
             print(f"[{status}] {record['name']}: {record.get('detail', '')}")
-    for key, value in sorted(report.aggregates.items()):
-        print(f"{key}: {value}")
+    for section in (report.aggregates, report.timings):
+        for key, value in sorted(section.items()):
+            print(f"{key}: {value}")
     return 1 if report.failed else 0
 
 

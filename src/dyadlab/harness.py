@@ -127,9 +127,13 @@ class ExperimentConfig:
 
 @dataclass
 class RunReport:
+    """A run's header, per-check records and deterministic aggregates; the
+    wall-clock timings are kept apart so that equal runs compare equal."""
+
     header: dict
     records: list[dict] = field(default_factory=list)
     aggregates: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
     @property
     def failed(self) -> bool:
@@ -151,9 +155,10 @@ class RunReport:
         lines.append("")
         for r in self.records:
             lines.append(" ".join(f"{k}={v}" for k, v in sorted(r.items())))
-        if self.aggregates:
-            lines.append("")
-            lines.extend(f"{k}: {v}" for k, v in sorted(self.aggregates.items()))
+        for section in (self.aggregates, self.timings):
+            if section:
+                lines.append("")
+                lines.extend(f"{k}: {v}" for k, v in sorted(section.items()))
         return "\n".join(lines)
 
     def write(self, path: str | Path) -> None:
@@ -556,7 +561,7 @@ def run(config: ExperimentConfig) -> RunReport:
         _run_sparsity(config, report)
     elif config.kind == "oracle_equivalence":
         _run_oracle_equivalence(config, report)
-    report.aggregates["runtime_seconds"] = round(time.time() - started, 3)
+    report.timings["runtime_seconds"] = round(time.time() - started, 3)
     if config.out:
         report.write(config.out)
     return report

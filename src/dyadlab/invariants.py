@@ -6,6 +6,8 @@ an exact identity on the grid or an inequality with an explicit tolerance.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
@@ -162,12 +164,13 @@ def _check_stopping_time(config) -> list[dict]:
     data = {iv: float(rng.standard_normal()) for iv in ivs}
     seq = CoefficientSequence(data, tuple(ivs))
     violations = []
-    for c1 in (1.0, 2.0 ** 10):
-        decomp = stopping_time_maximal(seq, ivs, c1)
+    for lacunary, c1 in itertools.product((False, True), (1.0, 2.0 ** 10)):
+        decomp = stopping_time_maximal(seq, ivs, c1, lacunary=lacunary, grid=g)
         assigned = sorted(decomp.assigned())
         if assigned != sorted(ivs) or decomp.residual:
-            violations.append(f"partition broken at c1={c1}")
-        violations.extend(check_stopping_time_properties(decomp, seq, ivs))
+            violations.append(f"partition broken at c1={c1}, lacunary={lacunary}")
+        violations.extend(check_stopping_time_properties(decomp, seq, ivs,
+                                                         lacunary=lacunary, grid=g))
         for k, trees in decomp.levels.items():
             tops = [t.top for t in trees]
             for i, a in enumerate(tops):

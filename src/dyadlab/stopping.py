@@ -10,6 +10,7 @@ All measure comparisons are exact integer cell counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -138,8 +139,8 @@ def tensor_decomposition_II(collection_x: Sequence[DyadicInterval],
                             ) -> tuple[TreeDecomposition, TreeDecomposition]:
     """Maximal-interval tree decompositions thresholded by the supplied norms."""
     nx, ny = norms
-    if nx <= 0 or ny <= 0:
-        raise ConfigError("norms must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in norms):
+        raise ConfigError("norms must be finite and positive")
     tx = stopping_time_maximal(b_seq_x, collection_x, c1, base_value=nx)
     ty = stopping_time_maximal(b_seq_y, collection_y, c2, base_value=ny)
     return tx, ty

@@ -88,8 +88,6 @@ def test_report_determinism():
     cfg = ExperimentConfig(kind="oracle_equivalence", trials=4, seed=42)
     a = run(cfg)
     b = run(cfg)
-    a.aggregates.pop("runtime_seconds")
-    b.aggregates.pop("runtime_seconds")
     assert a.records == b.records and a.aggregates == b.aggregates
 
 
@@ -100,6 +98,8 @@ def test_report_formats(tmp_path):
     assert (tmp_path / "r.csv").exists()
     text = rep.to_text()
     assert "kind: oracle_equivalence" in text
+    assert "runtime_seconds" in rep.timings and "runtime_seconds" not in rep.aggregates
+    assert text.index("max_deviation") < text.index("runtime_seconds")
     csv_text = rep.to_csv()
     assert csv_text.splitlines()[0].startswith("deviation")
 

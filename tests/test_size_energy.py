@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dyadlab.dyadic import (DyadicInterval, Grid1D, GridFunction1D, _level_below,
                             _times_pow2, contains, disjoint, enumerate_dyadic)
-from dyadlab.errors import ConfigError
+from dyadlab.errors import ConfigError, DomainError, ResolutionError
 from dyadlab.size_energy import (SizeEnergyReport, Tree, TreeDecomposition,
                                  bmo_norm, check_stopping_time_properties,
                                  energy, interval_ratios, size,
@@ -217,14 +217,234 @@ def test_stopping_time_sandwich_and_mass(seed, c1):
     assert check_stopping_time_properties(decomp, seq, ivs) == []
 
 
+def _local_square_function_reference(seq, top, grid):
+    """(sum_{I subseteq top} |a_I|^2 / |I| chi_I)^(1/2), one pass over the
+    sequence per top."""
+    acc = np.zeros(grid.n_points)
+    for iv, c in seq.items():
+        if c == 0.0 or not contains(top, iv):
+            continue
+        a, b = grid.cell_range(iv)
+        acc[a:b] += abs(c) ** 2 / math.ldexp(1.0, iv.k)
+    return GridFunction1D(grid, np.sqrt(acc))
+
+
+def _weak_l1_reference(g):
+    """max over the distinct values v > 0 of v * |{|g| >= v}|, one
+    searchsorted per value."""
+    a = np.abs(np.asarray(g.samples, dtype=float))
+    w = float(g.grid.cell_width)
+    vals = np.unique(a)
+    vals = vals[vals > 0]
+    sorted_desc = a[np.argsort(a)[::-1]]
+    best = 0.0
+    for v in vals:
+        count = int(np.searchsorted(-sorted_desc, -v, side="right"))
+        best = max(best, float(v) * count * w)
+    return best
+
+
+def _ratios_reference(seq, collection, lacunary, grid):
+    if lacunary:
+        return {iv: _weak_l1_reference(_local_square_function_reference(seq, iv, grid))
+                / math.ldexp(1.0, iv.k) for iv in collection}
+    return {iv: abs(seq[iv]) / math.ldexp(1.0, iv.k) ** 0.5 for iv in collection}
+
+
+def _maximal_disjoint_reference(collection):
+    """Inclusion-maximal elements, each checked against the kept ones by a
+    walk up its ancestors."""
+    by_size = sorted(collection, key=lambda iv: (-iv.k, iv.n))
+    kept = set()
+    max_k = by_size[0].k if by_size else 0
+    out = []
+    for iv in by_size:
+        cur, covered = iv, False
+        while cur.k <= max_k:
+            if cur in kept:
+                covered = True
+                break
+            cur = cur.parent()
+        if not covered:
+            kept.add(iv)
+            out.append(iv)
+    return out
+
+
+def _energy_reference(ratios, kind="weak_1inf", t=None):
+    """The level ladder with one maximal-disjoint pass per level."""
+    positive = {iv: r for iv, r in ratios.items() if r > 0.0}
+    if kind == "weak_1inf":
+        if not positive:
+            return SizeEnergyReport("energy_weak", 0.0)
+        best, best_n, best_family = 0.0, None, ()
+        for n in sorted({_level_below(r) for r in positive.values()}):
+            family = _maximal_disjoint_reference(
+                [iv for iv, r in positive.items() if r > 2.0 ** n])
+            value = 2.0 ** n * float(sum((iv.length for iv in family), Fraction(0)))
+            if value > best:
+                best, best_n, best_family = value, n, tuple(family)
+        return SizeEnergyReport("energy_weak", best, witness_level=best_n,
+                                witness_family=best_family)
+    if not positive:
+        return SizeEnergyReport(f"energy_strong({t})", 0.0)
+    crit = {_level_below(r) for r in positive.values()}
+    total = 0.0
+    for n in range(min(crit), max(crit) + 1):
+        family = _maximal_disjoint_reference(
+            [iv for iv, r in positive.items() if r > 2.0 ** n])
+        total += 2.0 ** (t * n) * float(sum((iv.length for iv in family), Fraction(0)))
+    return SizeEnergyReport(f"energy_strong({t})", total ** (1.0 / t))
+
+
+@st.composite
+def partial_collections(draw):
+    """(seq, tops, grid): members drawn with repeats, tops either the members
+    or drawn apart, and coefficients zero, small integers (ties, ratios on
+    thresholds) or normals with zeros.  Edge intervals (above the box,
+    outside the domain, finer than the grid) join the tops always and the
+    members sometimes."""
+    box, res = draw(st.integers(0, 2)), draw(st.integers(1, 4))
+    grid = Grid1D(box, res)
+    pool = enumerate_dyadic(grid, -res, box)
+    edges = [DyadicInterval(box + 1, 0), DyadicInterval(box, 1),
+             DyadicInterval(-res - 1, 0), DyadicInterval(-res - 2, 3)]
+    member_pool = pool + edges if draw(st.booleans()) else pool
+    members = draw(st.lists(st.sampled_from(member_pool), min_size=1, max_size=24))
+    if draw(st.booleans()):
+        tops = members
+    else:
+        tops = draw(st.lists(st.sampled_from(pool + edges), min_size=1, max_size=16))
+    kind = draw(st.sampled_from(["zero", "int", "normal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = {}
+    for iv in set(members):
+        if kind == "zero":
+            data[iv] = 0.0
+        elif kind == "int":
+            data[iv] = float(rng.integers(-3, 4))
+        else:
+            data[iv] = 0.0 if rng.random() < 0.3 else float(rng.standard_normal())
+    return CoefficientSequence(data, tuple(members)), tuple(tops), grid
+
+
+@given(partial_collections())
+@settings(max_examples=80, deadline=None)
+def test_lacunary_ratios_match_per_top_reference(case):
+    """The per-scale arrays give every top's ratio bit for bit, raise the
+    reference's error class, and give the BMO norm within 1e-12."""
+    seq, tops, grid = case
+    try:
+        ref = _ratios_reference(seq, tops, True, grid)
+    except (ResolutionError, DomainError) as exc:
+        with pytest.raises(type(exc)):
+            interval_ratios(seq, tops, True, grid)
+        with pytest.raises(type(exc)):
+            bmo_norm(seq, tops, 2.0, grid)
+        return
+    got = interval_ratios(seq, tops, True, grid)
+    assert list(got.items()) == list(ref.items())
+    for r in (1.0, 2.0):
+        bmo_ref = max(_local_square_function_reference(seq, top, grid).norm(r)
+                      / math.ldexp(1.0, top.k) ** (1.0 / r) for top in tops)
+        assert bmo_norm(seq, tops, r, grid) == pytest.approx(bmo_ref, rel=1e-12,
+                                                             abs=1e-300)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 7), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_weak_l1_matches_per_value_reference(seed, res, small_ints):
+    rng = np.random.default_rng(seed)
+    g = Grid1D(0, res)
+    if small_ints:
+        samples = rng.integers(-3, 4, g.n_points).astype(float)
+    else:
+        samples = rng.standard_normal(g.n_points) * (rng.random(g.n_points) < 0.7)
+    f = GridFunction1D(g, samples)
+    assert weak_l1_norm(f) == _weak_l1_reference(f)
+
+
+@given(partial_collections(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_energy_matches_maximal_disjoint_ladder(case, lacunary):
+    """Weak energy (value, level, witness family) and strong energies agree
+    with == with the maximal-disjoint ladder over the reference ratios."""
+    seq, tops, grid = case
+    try:
+        ratios = _ratios_reference(seq, tops, lacunary, grid)
+    except (ResolutionError, DomainError):
+        return
+    assert energy(seq, tops, lacunary=lacunary, grid=grid) == _energy_reference(ratios)
+    for t in (1.5, 2.0, 3.0):
+        assert (energy(seq, tops, "strong_t", t=t, lacunary=lacunary, grid=grid)
+                == _energy_reference(ratios, "strong_t", t))
+
+
+def test_square_function_edge_cases():
+    g = Grid1D(0, 2)
+    fine, outside = DyadicInterval(-3, 0), DyadicInterval(0, 1)
+    big = DyadicInterval(1, 0)  # holds the whole box and one unit outside it
+    # a nonzero member finer than the grid, inside a top
+    seq = CoefficientSequence({UNIT: 1.0, fine: 1.0}, (UNIT, fine))
+    with pytest.raises(ResolutionError):
+        interval_ratios(seq, [UNIT], True, g)
+    # ... and inside no top: the sum never meets it
+    assert interval_ratios(seq, [DyadicInterval(-1, 1)], True, g) == {
+        DyadicInterval(-1, 1): 0.0}
+    # a nonzero member outside the domain, inside a top above the box
+    seq = CoefficientSequence({UNIT: 1.0, outside: 2.0}, (UNIT, outside))
+    with pytest.raises(DomainError):
+        interval_ratios(seq, [big], True, g)
+    # tops finer than the grid, above the box or outside it, with zero members
+    zero = CoefficientSequence({UNIT: 1.0, fine: 0.0, outside: 0.0},
+                               (UNIT, fine, outside))
+    got = interval_ratios(zero, [fine, big, outside, UNIT], True, g)
+    assert got == {fine: 0.0, big: 0.5, outside: 0.0, UNIT: 1.0}
+    # a top scale with no members
+    assert interval_ratios(zero, [DyadicInterval(-2, 3)], True, g) == {
+        DyadicInterval(-2, 3): 0.0}
+    # a non-finite member inside a top, and inside none
+    for c in (math.inf, math.nan):
+        seq = CoefficientSequence({UNIT: 1.0, fine: 0.0, DyadicInterval(-2, 0): c})
+        with pytest.raises(ConfigError):
+            interval_ratios(seq, [DyadicInterval(-1, 1), UNIT], True, g)
+        assert interval_ratios(seq, [DyadicInterval(-1, 1)], True, g) == {
+            DyadicInterval(-1, 1): 0.0}
+
+
+@pytest.mark.parametrize("c1, base_value",
+                         [(math.nan, None), (math.inf, None), (1.0, math.inf),
+                          (1.0, math.nan)],
+                         ids=["c1_nan", "c1_inf", "base_inf", "base_nan"])
+def test_stopping_time_rejects_non_finite_constants(c1, base_value):
+    """Checked before the level loop, which never ends on a nan or inf
+    threshold."""
+    seq = CoefficientSequence({UNIT: 1.0})
+    with pytest.raises(ConfigError):
+        stopping_time_maximal(seq, [UNIT], c1, base_value=base_value)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+def test_strong_energy_rejects_non_finite_t(t):
+    with pytest.raises(ConfigError):
+        energy(CoefficientSequence({UNIT: 1.0}), [UNIT], "strong_t", t=t)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf], ids=["nan", "inf"])
+def test_bmo_rejects_non_finite_r(r):
+    with pytest.raises(ConfigError):
+        bmo_norm(CoefficientSequence({UNIT: 1.0}), [UNIT], r, G)
+
+
 def _stopping_time_rescanning(seq, collection, c1, lacunary, grid):
     """Reference stopping time: each new tree top comes from a fresh scan of
     every positive interval for the first unassigned one above the level's
-    threshold."""
+    threshold, and its members from a containment scan of the unassigned set.
+    Ratios and energy come from the per-top and maximal-disjoint references."""
     order = lambda iv: (-iv.k, iv.n)
     collection = tuple(collection)
-    ratios = interval_ratios(seq, collection, lacunary, grid)
-    base = energy(seq, collection, "weak_1inf", lacunary=lacunary, grid=grid).value
+    ratios = _ratios_reference(seq, collection, lacunary, grid)
+    base = _energy_reference(ratios).value
     unassigned = set(collection)
     levels = {}
     if base > 0:
@@ -259,21 +479,29 @@ def _stopping_time_rescanning(seq, collection, c1, lacunary, grid):
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1.0, 2.0, 2.0 ** 10]),
-       st.booleans(), st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_stopping_time_matches_rescanning_reference(seed, c1, lacunary, small_ints):
+       st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_stopping_time_matches_rescanning_reference(seed, c1, lacunary, small_ints,
+                                                    partial):
     """Small integer coefficients put ratios on level thresholds and tie
-    them; normal ones with a third zeroed fill the bottom bucket."""
+    them; normal ones with a third zeroed fill the bottom bucket.  A partial
+    case draws the sequence's members and the stopping collection apart, each
+    with repeats."""
     rng = np.random.default_rng(seed)
     ivs = enumerate_dyadic(G, -4, 0)
+    members = tops = ivs
+    if partial:
+        members, tops = ([ivs[int(i)] for i in
+                          rng.integers(0, len(ivs), int(rng.integers(1, 40)))]
+                         for _ in range(2))
     if small_ints:
-        raw = {iv: float(rng.integers(-3, 4)) for iv in ivs}
+        raw = {iv: float(rng.integers(-3, 4)) for iv in set(members)}
     else:
         raw = {iv: 0.0 if rng.random() < 0.3 else float(rng.standard_normal())
-               for iv in ivs}
-    seq = CoefficientSequence(raw, tuple(ivs))
-    decomp = stopping_time_maximal(seq, ivs, c1, lacunary=lacunary, grid=G)
-    ref = _stopping_time_rescanning(seq, ivs, c1, lacunary, G)
+               for iv in set(members)}
+    seq = CoefficientSequence(raw, tuple(members))
+    decomp = stopping_time_maximal(seq, tops, c1, lacunary=lacunary, grid=G)
+    ref = _stopping_time_rescanning(seq, tops, c1, lacunary, G)
     assert decomp.levels == ref.levels  # levels, tops and members, in order
     assert decomp.bottom == ref.bottom
     assert decomp == ref

@@ -89,6 +89,14 @@ def test_tensor_decomposition_II_examples():
     assert k == 2  # 2^1 < 3 <= 2^2
 
 
+@pytest.mark.parametrize("norms", [(math.nan, 1.0), (1.0, math.inf)],
+                         ids=["nan", "inf"])
+def test_tensor_decomposition_II_rejects_non_finite_norms(norms):
+    seq = CoefficientSequence({UNIT: 1.0})
+    with pytest.raises(ConfigError):
+        tensor_decomposition_II([UNIT], [UNIT], seq, seq, norms, 1.0, 1.0)
+
+
 def test_obs_st_B_replica():
     from dyadlab.models import BilinearBlockSpec, bilinear_block
     from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY,
