@@ -2,13 +2,15 @@
 
 Every run is driven by an ExperimentConfig and produces a RunReport whose
 records are reproducible bit-for-bit from the master seed (per-trial seeds are
-spawned from it; the generator algorithm is named in the header).
+spawned from it).  The header names the generator algorithm, the dyadlab and
+numpy versions and a hash of the config.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import hashlib
 import io
 import math
 import time
@@ -16,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 import numpy as np
 
+from . import __version__
 from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
                      GridFunction2D, contains, disjoint, enumerate_dyadic)
 from .errors import ConfigError
@@ -538,6 +541,13 @@ def _run_invariants(config: ExperimentConfig, report: RunReport) -> None:
         report.records.append(record)
 
 
+def _config_sha256(config: ExperimentConfig) -> str:
+    """The first 16 hex digits of the sha256 of the sorted config fields,
+    without the output path, which does not change what is computed."""
+    fields_ = sorted((k, v) for k, v in asdict(config).items() if k != "out")
+    return hashlib.sha256(repr(fields_).encode()).hexdigest()[:16]
+
+
 def run(config: ExperimentConfig) -> RunReport:
     """Execute the configured experiment and return its report."""
     config.validate()
@@ -545,6 +555,9 @@ def run(config: ExperimentConfig) -> RunReport:
         "kind": config.kind,
         "seed": config.seed,
         "rng": RNG_ALGORITHM,
+        "dyadlab": __version__,
+        "numpy": np.__version__,
+        "config_sha256": _config_sha256(config),
         "box_exp": config.box_exp,
         "res_exp": config.res_exp,
         "trials": config.trials,

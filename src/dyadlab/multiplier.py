@@ -6,6 +6,11 @@ evaluated at a sum of frequencies, the sum is taken mod N and mapped to its
 symmetric representative: this makes the direct frequency-sum evaluation and
 the FFT convolution cascade two implementations of the same finite object.
 
+The two are kept independent on purpose, so that comparing them checks
+something.  The direct sum takes one scale pair at a time, with an explicit
+O(N^2) convolution of the banded input spectra; the cascade convolves by FFT
+and sums over the low scale before the blocks meet h.
+
 Band windows follow the usual smooth ladder: a mother low-pass window equal to
 1 on [-1, 1] and supported in [-2, 2]; the annulus window is the difference of
 two of its dilates; the low-pass member of the band family at scale k lags ten
@@ -263,41 +268,48 @@ def _check_special(spec_a: SymbolSpec, spec_b: SymbolSpec):
                 "(phi, phi, psi) per axis")
 
 
-def _axis_symbol_tensor(a_types, pairs, n: int) -> np.ndarray:
-    """Dense completed symbol s(f1-freq, f2-freq, h-freq) with wrapped sums."""
-    xs = _sym_freqs(n).astype(float)
-    m = np.arange(n)
-    sum2 = (m[:, None] + m[None, :]) % n
-    sum3 = (sum2[:, :, None] + m[None, None, :]) % n
-    s = np.zeros((n, n, n))
-    for (k1, k2) in pairs:
-        w1 = _band_window(a_types[0], k1, xs)
-        w2 = _band_window(a_types[1], k1, xs)
-        comp3, comp1, psi3 = _completion_windows(k1, k2, xs)
-        mid = (comp3 * comp1)[sum2]
-        outer = psi3[sum3]
-        d = psi_hat_band(xs, k2)
-        s += (w1[:, None, None] * w2[None, :, None] * mid[:, :, None]
-              * d[None, None, :] * outer)
-    return s
-
-
 def _phases(n: int) -> np.ndarray:
     j = np.arange(n)
     return np.exp(2j * np.pi * np.outer(j, np.arange(n)) / n)
 
 
-def _apply_separable(sx: np.ndarray, sy: np.ndarray, f1, f2, g1, g2, h
-                     ) -> GridFunction2D:
-    """Direct frequency-sum evaluation for per-axis factorized symbols."""
-    n = _grid_n(f1)
-    e = _phases(n)
-    f1h, f2h = _fft1(f1), _fft1(f2)
-    g1h, g2h = _fft1(g1), _fft1(g2)
-    hh = _fft2(h)
-    mx = np.einsum("abc,a,b,xa,xb->xc", sx, f1h, f2h, e, e, optimize=True)
-    my = np.einsum("abc,a,b,ya,yb->yc", sy, g1h, g2h, e, e, optimize=True)
-    out = np.einsum("cd,xc,yd->xy", hh, mx * e, my * e, optimize=True)
+def _axis_pair_sum(a_types, pairs, u1h: np.ndarray, u2h: np.ndarray
+                   ) -> np.ndarray:
+    """T[m, c]: the completed symbol summed against the two input spectra
+    along their frequency-sum diagonal a + b = m (mod N), pair by pair.
+
+    The symbol s[a, b, c] = sum over (k1, k2) of w1[a] w2[b] mid[a+b]
+    d[c] psi3[a+b+c] meets the inputs only through a + b, so each pair
+    contributes mid[m] conv[m] d[c] psi3[m+c], with conv the explicit cyclic
+    convolution of the banded spectra.
+    """
+    n = u1h.size
+    xs = _sym_freqs(n).astype(float)
+    m = np.arange(n)
+    diff = (m[None, :] - m[:, None]) % n  # [a, m] -> (m - a) mod N
+    sum2 = (m[:, None] + m[None, :]) % n  # [m, c] -> (m + c) mod N
+    t = np.zeros((n, n), dtype=complex)
+    for (k1, k2) in pairs:
+        v1 = _band_window(a_types[0], k1, xs) * u1h
+        v2 = _band_window(a_types[1], k1, xs) * u2h
+        conv = v1 @ v2[diff]
+        comp3, comp1, psi3 = _completion_windows(k1, k2, xs)
+        d = psi_hat_band(xs, k2)
+        t += (comp3 * comp1 * conv)[:, None] * d[None, :] * psi3[sum2]
+    return t
+
+
+def _apply_direct(a: SymbolSpec, pairs, f1, f2, g1, g2, h) -> GridFunction2D:
+    """Direct frequency-sum evaluation, one scale pair at a time.
+
+    With e[x, a] e[x, b] = e[x, a + b], the x axis is the N x N product
+    E T_x of the phase matrix with `_axis_pair_sum`, and likewise for y;
+    the output is (E T_x o e) h^ (E T_y o e)^T.
+    """
+    e = _phases(_grid_n(f1))
+    tx = _axis_pair_sum(a.x_types[:2], pairs, _fft1(f1), _fft1(f2))
+    ty = _axis_pair_sum(a.y_types[:2], pairs, _fft1(g1), _fft1(g2))
+    out = ((e @ tx) * e) @ _fft2(h) @ ((e @ ty) * e).T
     return GridFunction2D(h.grid_x, h.grid_y, out.real)
 
 
@@ -307,10 +319,14 @@ def apply_multiplier(a: SymbolSpec, b: SymbolSpec, f1: GridFunction1D,
     """The five-linear multiplier operator for the symbol pair (a, b).
 
     constant_one pairs collapse to the pointwise product.  product_special
-    pairs realize the cross-scale (completed) part of the symbol product; up
-    to N = 64 the six-fold frequency sum is evaluated directly, larger grids
-    delegate to the convolution cascade, which computes the identical sum.
-    tabulated pairs run the dense six-fold sum and are capped at N = 16.
+    pairs realize the cross-scale (completed) part of the symbol product.  Up
+    to N = 64 the six-fold frequency sum is evaluated directly: the phases of
+    the two inputs of an axis multiply to the phase of their frequency sum,
+    so per scale pair each axis needs only the explicit cyclic convolution of
+    its banded spectra, and no N^3 symbol is built.  This path does no FFT
+    convolution and does not sum over the low scale, so it stays an
+    independent check on the cascade, to which larger grids delegate.
+    tabulated pairs run the literal six-fold sum and are capped at N = 16.
     """
     n = _shared_grid_n(f1, f2, g1, g2, h)
     if a.kind != b.kind:
@@ -324,10 +340,7 @@ def apply_multiplier(a: SymbolSpec, b: SymbolSpec, f1: GridFunction1D,
             raise ConfigError("product_special capped at N = 512")
         if n > 64:
             return special_symbol_cascade(a, b, f1, f2, g1, g2, h)
-        pairs = _axis_pairs(a, b, n)
-        sx = _axis_symbol_tensor((a.x_types[0], a.x_types[1]), pairs, n)
-        sy = _axis_symbol_tensor((a.y_types[0], a.y_types[1]), pairs, n)
-        return _apply_separable(sx, sy, f1, f2, g1, g2, h)
+        return _apply_direct(a, _axis_pairs(a, b, n), f1, f2, g1, g2, h)
     # tabulated
     if n > 16:
         raise ConfigError("tabulated symbols capped at N = 16")

@@ -420,7 +420,8 @@ def size_energy_bound_check(seq1: CoefficientSequence, seq2: CoefficientSequence
 
     lhs = |sum_Q |Q|^{-1/2} a^1_Q a^2_Q a^3_Q|; rhs = prod_i size_i^{1-theta_i}
     energy_i^{theta_i}.  Returns (lhs, rhs, lhs/rhs) with the ratio defined as
-    0 when both sides vanish.
+    0 when both sides vanish.  Each sequence's interval ratios are computed
+    once and give both its size and its weak energy.
     """
     t1, t2, t3 = thetas
     if not all(0.0 <= t < 1.0 for t in thetas) or abs(t1 + t2 + t3 - 1.0) > 1e-12:
@@ -428,12 +429,15 @@ def size_energy_bound_check(seq1: CoefficientSequence, seq2: CoefficientSequence
     if sum(lacunary_flags) < 2:
         raise ConfigError("at least two of the three families must be lacunary")
     collection = tuple(collection)
+    if not collection:
+        raise ConfigError("size over an empty collection")
     lhs = abs(sum(seq1[q] * seq2[q] * seq3[q] / math.ldexp(1.0, q.k) ** 0.5
                   for q in collection))
     rhs = 1.0
     for seq, theta, lac in zip((seq1, seq2, seq3), thetas, lacunary_flags):
-        s = size(seq, collection, lac, grid).value
-        e = energy(seq, collection, "weak_1inf", lacunary=lac, grid=grid).value
+        ratios = interval_ratios(seq, collection, lac, grid)
+        s = max(ratios.values())
+        e = _energy(ratios).value
         rhs *= s ** (1.0 - theta) * e ** theta
     if lhs == 0.0 and rhs == 0.0:
         return 0.0, 0.0, 0.0

@@ -91,6 +91,23 @@ def test_report_determinism():
     assert a.records == b.records and a.aggregates == b.aggregates
 
 
+def test_report_header_versions_and_config_hash(tmp_path):
+    import dyadlab
+    base = dict(kind="oracle_equivalence", trials=1, seed=5)
+    a = run(ExperimentConfig(**base))
+    b = run(ExperimentConfig(**base, out=str(tmp_path / "r.txt")))
+    c = run(ExperimentConfig(**{**base, "seed": 6}))
+    assert a.header["dyadlab"] == dyadlab.__version__
+    assert a.header["numpy"] == np.__version__
+    digest = a.header["config_sha256"]
+    assert len(digest) == 16 and set(digest) <= set("0123456789abcdef")
+    assert b.header["config_sha256"] == digest
+    assert c.header["config_sha256"] != digest
+    text = a.to_text()
+    for key in ("dyadlab", "numpy", "config_sha256"):
+        assert f"{key}: {a.header[key]}" in text
+
+
 def test_report_formats(tmp_path):
     cfg = ExperimentConfig(kind="oracle_equivalence", trials=2, seed=1,
                            out=str(tmp_path / "r.csv"))

@@ -140,6 +140,89 @@ def _cascade_per_pair(a, b, f1, f2, g1, g2, h) -> np.ndarray:
     return acc.real
 
 
+def _axis_symbol_tensor(a_types, pairs, n: int) -> np.ndarray:
+    """Dense completed symbol s(f1-freq, f2-freq, h-freq) with wrapped sums."""
+    from dyadlab.multiplier import (_band_window, _completion_windows,
+                                    _sym_freqs, psi_hat_band)
+    xs = _sym_freqs(n).astype(float)
+    m = np.arange(n)
+    sum2 = (m[:, None] + m[None, :]) % n
+    sum3 = (sum2[:, :, None] + m[None, None, :]) % n
+    s = np.zeros((n, n, n))
+    for (k1, k2) in pairs:
+        w1 = _band_window(a_types[0], k1, xs)
+        w2 = _band_window(a_types[1], k1, xs)
+        comp3, comp1, psi3 = _completion_windows(k1, k2, xs)
+        mid = (comp3 * comp1)[sum2]
+        outer = psi3[sum3]
+        d = psi_hat_band(xs, k2)
+        s += (w1[:, None, None] * w2[None, :, None] * mid[:, :, None]
+              * d[None, None, :] * outer)
+    return s
+
+
+def _direct_dense_reference(a, b, f1, f2, g1, g2, h):
+    """The direct six-fold sum contracted from the two dense N^3 symbol
+    tensors, returned with the tensors themselves."""
+    from dyadlab.multiplier import _axis_pairs, _phases
+    n = f1.grid.n_points
+    pairs = _axis_pairs(a, b, n)
+    sx = _axis_symbol_tensor(a.x_types[:2], pairs, n)
+    sy = _axis_symbol_tensor(a.y_types[:2], pairs, n)
+    e = _phases(n)
+    f1h, f2h, g1h, g2h = (np.fft.fft(u.samples.astype(complex)) / n
+                          for u in (f1, f2, g1, g2))
+    hh = np.fft.fft2(h.samples.astype(complex)) / n ** 2
+    mx = np.einsum("abc,a,b,xa,xb->xc", sx, f1h, f2h, e, e, optimize=True)
+    my = np.einsum("abc,a,b,ya,yb->yc", sy, g1h, g2h, e, e, optimize=True)
+    out = np.einsum("cd,xc,yd->xy", hh, mx * e, my * e, optimize=True)
+    return out.real, sx, sy
+
+
+DIRECT_FLAGS = [(("psi", "phi"), ("phi", "psi")), (("psi", "psi"), ("psi", "psi"))]
+
+
+@pytest.mark.parametrize("flags", DIRECT_FLAGS, ids=["psi_phi", "psi_psi"])
+@pytest.mark.parametrize("res_exp,gap", [(4, 1), (5, 3), (6, 3)])
+def test_direct_path_matches_dense_reference(flags, res_exp, gap):
+    g = Grid1D(0, res_exp)
+    rng = np.random.default_rng(40 + res_exp)
+    a = SymbolSpec("product_special", *flags, gap=gap)
+    b = SymbolSpec("product_special", ("phi", "phi", "psi"),
+                   ("phi", "phi", "psi"), gap=gap)
+    fs = [_rand1(rng, g) for _ in range(4)]
+    h = _rand2(rng, g)
+    ref = _direct_dense_reference(a, b, *fs, h)[0]
+    out = apply_multiplier(a, b, *fs, h).samples
+    scale = float(np.max(np.abs(ref)))
+    assert scale > 0
+    assert np.max(np.abs(out - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("flags", DIRECT_FLAGS, ids=["psi_phi", "psi_psi"])
+def test_direct_path_matches_literal_six_fold_sum(flags):
+    """At N = 8 the tabulated path's nested loops evaluate the literal sum
+    over (i1, j1, i2, j2, c, d), with the symbol written out in full."""
+    g = Grid1D(0, 3)
+    rng = np.random.default_rng(0)
+    a = SymbolSpec("product_special", *flags, gap=1)
+    b = SymbolSpec("product_special", ("phi", "phi", "psi"),
+                   ("phi", "phi", "psi"), gap=1)
+    fs = [_rand1(rng, g) for _ in range(4)]
+    h = _rand2(rng, g)
+    dense, sx, sy = _direct_dense_reference(a, b, *fs, h)
+    full = np.einsum("ikc,jld->ijklcd", sx, sy)
+    bound = float(np.max(np.abs(full)))
+    ta = SymbolSpec("tabulated", values=np.ones((8,) * 4), bound=1.0)
+    tb = SymbolSpec("tabulated", values=full, bound=bound)
+    literal = apply_multiplier(ta, tb, *fs, h).samples
+    out = apply_multiplier(a, b, *fs, h).samples
+    scale = float(np.max(np.abs(literal)))
+    assert scale > 1e-6
+    assert np.max(np.abs(out - literal)) <= 1e-12 * scale
+    assert np.max(np.abs(dense - literal)) <= 1e-12 * scale
+
+
 class TestApplyMultiplier:
     def test_constant_symbol_is_pointwise_product(self):
         rng = np.random.default_rng(4)
@@ -187,16 +270,18 @@ class TestApplyMultiplier:
         # (1, 5), so the cascade sums two blocks for the top scale 5
         rng = np.random.default_rng(7)
         a, b = _special_pair()
-        worst = 0.0
+        worst = worst_rel = 0.0
         for g in (G32, G64):
             for _ in range(5):
                 fs = [_rand1(rng, g) for _ in range(4)]
                 h = _rand2(rng, g)
-                direct = apply_multiplier(a, b, *fs, h)
-                cascade = special_symbol_cascade(a, b, *fs, h)
-                worst = max(worst, float(np.max(np.abs(direct.samples
-                                                       - cascade.samples))))
+                direct = apply_multiplier(a, b, *fs, h).samples
+                cascade = special_symbol_cascade(a, b, *fs, h).samples
+                dev = float(np.max(np.abs(direct - cascade)))
+                worst = max(worst, dev)
+                worst_rel = max(worst_rel, dev / float(np.max(np.abs(cascade))))
         assert worst <= 1e-9
+        assert worst_rel <= 1e-12
 
     @pytest.mark.parametrize("res_exp", [7, 8])
     def test_cascade_matches_per_pair_passes(self, res_exp):
@@ -256,7 +341,8 @@ class TestApplyMultiplier:
 
 def test_single_band_term_hand_value():
     """One scale pair, single-mode inputs: the output is the product of the
-    window values at the input modes."""
+    window values at the input modes.  m3 = 20 sits on the plateau of the
+    k2 = 4 annulus (20 / 16 = 1.25), so the expected value is not zero."""
     n = 64
     g = Grid1D(0, 6)
     a = SymbolSpec("product_special", ("psi", "psi"), ("psi", "psi"), gap=3)
@@ -266,11 +352,11 @@ def test_single_band_term_hand_value():
                                     psi_hat_band)
     pairs = _axis_pairs(a, b, n)
     j = np.arange(n)
-    m1, m2, m3 = 1, -1, 12
+    m1, m2, m3 = 1, -1, 20
     mode = lambda m: GridFunction1D(g, np.exp(2j * np.pi * m * j / n))
     h = GridFunction2D(g, g, np.outer(np.exp(2j * np.pi * m3 * j / n),
                                       np.exp(2j * np.pi * m3 * j / n)))
-    out = special_symbol_cascade(a, b, mode(m1), mode(m2), mode(m1), mode(m2), h)
+    inputs = (mode(m1), mode(m2), mode(m1), mode(m2), h)
     expected = 0.0
     for (k1, k2) in pairs:
         w1 = psi_hat_band(np.array([float(m1)]), k1)[0]
@@ -279,9 +365,12 @@ def test_single_band_term_hand_value():
         d = psi_hat_band(np.array([float(m3)]), k2)[0]
         expected += w1 * w2 * comp3[0] * comp1[0] * d * psi3[1]
     expected = expected ** 2  # both axes carry the same factors
+    assert expected != 0
     phase = np.exp(2j * np.pi * m3 * j / n)  # m1 + m2 = 0
     ref = expected * np.outer(phase, phase)
-    assert np.max(np.abs(out.samples - ref.real)) <= 1e-9
+    for fn in (apply_multiplier, special_symbol_cascade):
+        out = fn(a, b, *inputs)
+        assert np.max(np.abs(out.samples - ref.real)) <= 1e-12 * abs(expected)
 
 
 class TestExponentTuple:

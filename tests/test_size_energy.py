@@ -530,6 +530,37 @@ def test_size_energy_bound_examples():
                                 lacunary_flags=(False, False, True), grid=G)
 
 
+def test_size_energy_bound_computes_ratios_once_per_sequence(monkeypatch):
+    """Each sequence's ratios give both its size and its weak energy, and the
+    bound equals the one built from `size` and `energy`."""
+    import dyadlab.size_energy as se
+    rng = np.random.default_rng(5)
+    ivs = enumerate_dyadic(G, -3, 0)
+    seqs = [CoefficientSequence({iv: float(rng.standard_normal()) for iv in ivs},
+                                tuple(ivs)) for _ in range(3)]
+    thetas, flags = (0.2, 0.4, 0.4), (False, True, True)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return interval_ratios(*args, **kwargs)
+
+    monkeypatch.setattr(se, "interval_ratios", counted)
+    lhs, rhs, ratio = size_energy_bound_check(*seqs, ivs, thetas, flags, grid=G)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    expected = 1.0
+    for seq, theta, lac in zip(seqs, thetas, flags):
+        sz = size(seq, ivs, lac, G).value
+        en = energy(seq, ivs, "weak_1inf", lacunary=lac, grid=G).value
+        expected *= sz ** (1.0 - theta) * en ** theta
+    assert rhs == expected and ratio == lhs / rhs
+    with pytest.raises(ConfigError, match="empty collection"):
+        size_energy_bound_check(*seqs, [], thetas, flags, grid=G)
+    with pytest.raises(ConfigError, match="need the grid"):
+        size_energy_bound_check(*seqs, ivs, thetas, flags)
+
+
 def test_size_energy_bound_stability_under_doubling():
     """The empirical constant stays put when the collection doubles."""
     rng = np.random.default_rng(123)
