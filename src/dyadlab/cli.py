@@ -79,6 +79,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    print("\n".join(report.header_lines()) + "\n")
     for record in report.records:
         if "name" in record:
             status = "PASS" if record.get("passed", True) else "FAIL"

@@ -153,8 +153,11 @@ class RunReport:
             writer.writerow(r)
         return out.getvalue()
 
+    def header_lines(self) -> list[str]:
+        return [f"{k}: {v}" for k, v in self.header.items()]
+
     def to_text(self) -> str:
-        lines = [f"{k}: {v}" for k, v in self.header.items()]
+        lines = self.header_lines()
         lines.append("")
         for r in self.records:
             lines.append(" ".join(f"{k}={v}" for k, v in sorted(r.items())))
@@ -166,8 +169,9 @@ class RunReport:
 
     def write(self, path: str | Path) -> None:
         path = Path(path)
-        if path.suffix == ".csv":
-            path.write_text(self.to_csv())
+        if path.suffix == ".csv":  # the header leads, as "# key: value" lines
+            path.write_text("".join(f"# {line}\n" for line in self.header_lines())
+                            + self.to_csv())
         else:
             path.write_text(self.to_text() + "\n")
 

@@ -6,19 +6,25 @@ when it meets the level set {driver > C 2^n w} in more than a tenth of its
 measure but fails that test at level n+1 (the 2D rectangle version uses one
 hundredth).  Intervals qualifying at no level go to a reserved bottom bucket.
 All measure comparisons are exact integer cell counts.
+
+The 1D decomposition and its sparsity check run one dyadic scale at a time:
+the intervals of scale k tile the box, so the driver viewed as rows of
+2^(k + res_exp) cells holds one interval per row, and order statistics and
+minima over intervals are taken along those rows.  The 2D decomposition does
+the same per rectangle shape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dyadic import (DyadicInterval, DyadicRectangle, GridFunction1D,
-                     GridFunction2D, _level_below, _times_pow2, contains)
+from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
+                     GridFunction2D, _level_below, _times_pow2, shape_groups)
 from .errors import ConfigError
 from .models import BilinearBlockSpec, bilinear_block
 from .operators import (HybridKind, hybrid_2d, maximal_function,
@@ -44,26 +50,72 @@ __all__ = [
 ]
 
 
-def _qualifying_value(values: np.ndarray, frac: Fraction) -> float:
-    """Largest v such that strictly more than frac of the cells exceed any
-    threshold below v; i.e. the k0-th largest value with k0 = floor(c*frac)+1."""
-    c = values.size
-    k0 = int(c * frac) + 1
+_BOTTOM = np.iinfo(np.int64).min  # the level of an interval that has none
+
+
+def _qualifying_rows(blocks: np.ndarray, fraction: Fraction) -> np.ndarray:
+    """Per row of blocks, the largest v such that strictly more than fraction
+    of the row's c cells exceed any threshold below v: the k0-th largest value,
+    k0 = floor(c fraction) + 1, or 0 when k0 > c."""
+    m, c = blocks.shape
+    k0 = int(c * fraction) + 1
     if k0 > c:
-        return 0.0
-    return float(np.partition(values, c - k0)[c - k0])
+        return np.zeros(m)
+    return np.partition(blocks, c - k0, axis=1)[:, c - k0]
 
 
-def _max_level(vstar: float, c: float, weight: float) -> int | None:
-    """Largest n with c * 2^n * weight < vstar, or None if there is none."""
-    if vstar <= 0 or weight <= 0:
-        return None
-    return _level_below(vstar, c, weight)
+def _max_levels(vstar: np.ndarray, c: float, weight: float) -> np.ndarray:
+    """Per entry, the largest n with c 2^n weight < vstar, or _BOTTOM where
+    there is none: where vstar <= 0, and everywhere when weight <= 0."""
+    out = np.full(vstar.shape, _BOTTOM, dtype=np.int64)
+    if weight <= 0:
+        return out
+    pos = vstar > 0
+    out[pos] = _level_below(vstar[pos], c, weight)
+    return out
+
+
+def _interval_table(intervals: Sequence[DyadicInterval], grid: Grid1D
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The intervals' scales and positions as int64 arrays.
+
+    Every interval must be a union of grid cells inside the box; the first
+    one that is not raises its cell_range error, ResolutionError or
+    DomainError.
+    """
+    try:
+        ks = np.array([iv.k for iv in intervals], dtype=np.int64)
+        ns = np.array([iv.n for iv in intervals], dtype=np.int64)
+    except OverflowError:  # an interval beyond int64 lies off the grid
+        for iv in intervals:
+            grid.cell_range(iv)
+        raise
+    ok = (ks >= -grid.res_exp) & (ks <= grid.box_exp) & (ns >= 0)
+    # the box holds 2^(box_exp - k) intervals of scale k
+    ok[ok] = ns[ok] < np.left_shift(1, grid.box_exp - ks[ok])
+    if not ok.all():
+        grid.cell_range(intervals[int(np.argmin(ok))])  # raises
+    return ks, ns
+
+
+def _scale_rows(samples: np.ndarray, res_exp: int, ks: np.ndarray,
+                ns: np.ndarray):
+    """Yield (idx, rows) per scale k among ks: the intervals of scale k tile
+    the box, so viewed as rows of 2^(k + res_exp) cells the samples hold one
+    interval per row, and rows[j] are the samples on interval idx[j]."""
+    for k in np.unique(ks).tolist():
+        idx = np.flatnonzero(ks == k)
+        yield idx, samples.reshape(-1, 1 << (k + res_exp))[ns[idx]]
 
 
 @dataclass
 class LevelSetDecomposition1D:
-    """Buckets of intervals per level, the level sets, and the driver data."""
+    """Buckets of intervals per level, the level sets, and the driver data.
+
+    level_map sends each interval of a bucket to its level and each bottom
+    interval to None; it is built once, from the buckets given at
+    construction.
+    """
 
     buckets: dict[int, tuple[DyadicInterval, ...]]
     bottom: tuple[DyadicInterval, ...]
@@ -71,6 +123,13 @@ class LevelSetDecomposition1D:
     constant: float
     weight: float
     fraction: Fraction = Fraction(1, 10)
+    level_map: dict[DyadicInterval, int | None] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.level_map = dict.fromkeys(self.bottom)
+        for n, ivs in reversed(self.buckets.items()):  # the first bucket wins
+            self.level_map.update(dict.fromkeys(ivs, n))
 
     def level_set(self, n: int) -> GridFunction1D:
         thr = _times_pow2(n, self.constant, self.weight)
@@ -78,10 +137,8 @@ class LevelSetDecomposition1D:
                               (self.driver.samples > thr).astype(float))
 
     def level_of(self, interval: DyadicInterval) -> int | None:
-        for n, ivs in self.buckets.items():
-            if interval in ivs:
-                return n
-        return None
+        """The interval's level, or None for a bottom or absent interval."""
+        return self.level_map.get(interval)
 
     def to_text(self) -> str:
         lines = []
@@ -97,19 +154,32 @@ def level_decomposition_1d(collection: Sequence[DyadicInterval],
                            weight: float,
                            fraction: Fraction = Fraction(1, 10)
                            ) -> LevelSetDecomposition1D:
-    """Assign each interval its maximal qualifying level for the driver."""
-    buckets: dict[int, list[DyadicInterval]] = {}
-    bottom: list[DyadicInterval] = []
-    for iv in collection:
-        vstar = _qualifying_value(driver.restrict(iv), fraction)
-        n = _max_level(vstar, constant, weight)
-        if n is None:
-            bottom.append(iv)
-        else:
-            buckets.setdefault(n, []).append(iv)
-    return LevelSetDecomposition1D(
-        {n: tuple(sorted(v)) for n, v in buckets.items()},
-        tuple(sorted(bottom)), driver, constant, weight, fraction)
+    """Assign each interval its maximal qualifying level for the driver.
+
+    An interval's qualifying value is the k0-th largest driver value on its
+    c cells, k0 = floor(c fraction) + 1, and its level is the largest n with
+    constant 2^n weight below that value.  Intervals with no such level
+    (k0 > c, a value <= 0, or weight <= 0) go to bottom.  The values are
+    found one scale at a time, with one np.partition over the rows of the
+    driver that hold the scale's intervals.  Buckets and bottom keep repeated
+    intervals and are sorted; the first interval that is not a union of grid
+    cells inside the box raises ResolutionError or DomainError.
+    """
+    collection = tuple(collection)
+    grid = driver.grid
+    ks, ns = _interval_table(collection, grid)
+    vstar = np.zeros(len(collection))
+    for idx, rows in _scale_rows(driver.samples, grid.res_exp, ks, ns):
+        vstar[idx] = _qualifying_rows(rows, fraction)
+    levels = _max_levels(vstar, constant, weight)
+    order = np.lexsort((ns, ks))  # DyadicInterval order, stable
+    _, first = np.unique(levels, return_index=True)
+    buckets = {}
+    for n in levels[np.sort(first)].tolist():  # in order of first appearance
+        buckets[n] = tuple(collection[i] for i in order[levels[order] == n].tolist())
+    bottom = buckets.pop(_BOTTOM, ())
+    return LevelSetDecomposition1D(buckets, bottom, driver, constant, weight,
+                                   fraction)
 
 
 def tensor_decomposition_I(collection_x: Sequence[DyadicInterval],
@@ -175,7 +245,9 @@ def level_set_decomposition_2d(rectangles: Sequence[DyadicRectangle],
 
     k1 is the maximal level with |R & {SSh > c3 2^{k1} ||h||_s}| > |R|/100,
     and k2 the analogue for the Haar double square function of chi_{E'}
-    thresholded by its own L^s norm.  h must be nonzero.
+    thresholded by its own L^s norm.  h must be nonzero.  The qualifying
+    values come one rectangle shape at a time, from one np.partition over the
+    shape's blocks of each double square function, gathered as rows.
     """
     if float(np.max(np.abs(h.samples))) == 0.0:
         raise ConfigError("h must be nonzero")
@@ -186,13 +258,20 @@ def level_set_decomposition_2d(rectangles: Sequence[DyadicRectangle],
     ss_e = hybrid_2d(e_prime, HybridKind.SS_H, rectangles, None)
     w1 = h.norm(s)
     w2 = e_prime.norm(s)
+    v1, v2 = np.zeros(len(rectangles)), np.zeros(len(rectangles))
+    for (kx, ky), (idx, nx, ny) in shape_groups(rectangles).items():
+        for ss, v in ((ss_h, v1), (ss_e, v2)):
+            bx, by = 1 << (kx + ss.grid_x.res_exp), 1 << (ky + ss.grid_y.res_exp)
+            blocks = ss.samples.reshape(-1, bx, ss.grid_y.n_points // by, by)
+            v[idx] = _qualifying_rows(
+                blocks[nx, :, ny, :].reshape(idx.size, bx * by), fraction)
+    # a NaN norm gives no k2 level, as a zero one does
+    keys = zip(_max_levels(v1, c3, w1).tolist(),
+               _max_levels(v2, c3, w2 if w2 > 0 else 0.0).tolist())
     buckets: dict[tuple[int | None, int | None], list[DyadicRectangle]] = {}
-    for r in rectangles:
-        v1 = _qualifying_value(ss_h.restrict(r).ravel(), fraction)
-        v2 = _qualifying_value(ss_e.restrict(r).ravel(), fraction)
-        k1 = _max_level(v1, c3, w1)
-        k2 = _max_level(v2, c3, w2) if w2 > 0 else None
-        buckets.setdefault((k1, k2), []).append(r)
+    for (k1, k2), r in zip(keys, rectangles):
+        key = (None if k1 == _BOTTOM else k1, None if k2 == _BOTTOM else k2)
+        buckets.setdefault(key, []).append(r)
     return LevelSetDecomposition2D(
         {k: tuple(sorted(v)) for k, v in buckets.items()},
         ss_h, ss_e, c3, w1, w2, fraction)
@@ -364,30 +443,62 @@ def union_measure(rectangles: Iterable[DyadicRectangle]) -> Fraction:
     return Fraction(total, unit * unit)
 
 
+def _mass_violations(n: int, j0s: Sequence[DyadicInterval],
+                     lo0: np.ndarray, hi0: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray, grid: Grid1D) -> list[str]:
+    """The J0 = j0s[i], cells [lo0[i], hi0[i]), met by intervals [lo, hi)
+    whose summed lengths exceed |J0| / 2, as violation messages of level n."""
+    length = hi - lo
+    by_lo, by_hi = np.argsort(lo), np.argsort(hi)
+    starts_before = np.concatenate(([0], np.cumsum(length[by_lo])))
+    ends_before = np.concatenate(([0], np.cumsum(length[by_hi])))
+    mass = (starts_before[np.searchsorted(lo[by_lo], hi0, "left")]
+            - ends_before[np.searchsorted(hi[by_hi], lo0, "right")])
+    return [f"level {n}: mass {int(mass[i]) * grid.cell_width} around "
+            f"{j0s[i]} exceeds {j0s[i].length / 2}"
+            for i in np.flatnonzero(2 * mass > hi0 - lo0).tolist()]
+
+
 def sparsity_check_1d(decomp: LevelSetDecomposition1D,
                       gap: int = 10) -> list[str]:
     """Exact sparsity and pointwise checks on a 1D level-set decomposition.
 
     For every level n and every J0 in bucket n-10, the intervals of bucket n
     meeting J0 must carry at most half of |J0|; and on every bucket-n interval
-    the driver must exceed 2^{-7} C 2^n w pointwise.  Returns violations.
+    the driver must exceed 2^{-7} C 2^n w pointwise.  Returns violations,
+    level by level upwards: each level's mass violations in the order of
+    bucket n-10, then its driver dips in the order of bucket n.
+
+    The driver minima come one scale at a time, as row minima of the driver
+    viewed as rows of the scale's cells.  A mass is an exact count of grid
+    cells: the summed lengths of the bucket-n intervals starting before J0
+    ends, minus those ending before J0 starts, read off cumulative sums with
+    searchsorted.  The first bucket interval that is not a union of grid
+    cells inside the box raises ResolutionError or DomainError.
     """
-    out: list[str] = []
+    grid, samples = decomp.driver.grid, decomp.driver.samples
     levels = sorted(decomp.buckets)
+    ks, ns = _interval_table(
+        [iv for n in levels for iv in decomp.buckets[n]], grid)
+    mins = np.zeros(len(ks))
+    for idx, rows in _scale_rows(samples, grid.res_exp, ks, ns):
+        mins[idx] = rows.min(axis=1)
+    s = ks + grid.res_exp
+    lo, hi = ns << s, (ns + 1) << s  # cell spans [lo, hi)
+    ends = np.cumsum([0] + [len(decomp.buckets[n]) for n in levels])
+    at = {n: slice(a, b) for n, a, b in zip(levels, ends[:-1], ends[1:])}
+
+    out: list[str] = []
     for n in levels:
-        for j0 in decomp.buckets.get(n - gap, ()):
-            mass = sum((j.length for j in decomp.buckets[n]
-                        if not (j.right <= j0.left or j.left >= j0.right)),
-                       Fraction(0))
-            if mass > j0.length / 2:
-                out.append(f"level {n}: mass {mass} around {j0} exceeds "
-                           f"{j0.length / 2}")
+        if n - gap in at:
+            out.extend(_mass_violations(n, decomp.buckets[n - gap],
+                                        lo[at[n - gap]], hi[at[n - gap]],
+                                        lo[at[n]], hi[at[n]], grid))
         floor_val = _times_pow2(n - 7, decomp.constant, decomp.weight)
-        for j in decomp.buckets[n]:
-            if float(np.min(decomp.driver.restrict(j))) <= floor_val:
-                out.append(f"level {n}: driver dips to "
-                           f"{float(np.min(decomp.driver.restrict(j)))} on {j}, "
-                           f"needs > {floor_val}")
+        dips = mins[at[n]]
+        for i in np.flatnonzero(dips <= floor_val).tolist():
+            out.append(f"level {n}: driver dips to {float(dips[i])} on "
+                       f"{decomp.buckets[n][i]}, needs > {floor_val}")
     return out
 
 
@@ -400,17 +511,11 @@ def sparsity_check_2d(rectangles: Sequence[DyadicRectangle],
     |union of all rectangles|); the contract is lhs <= 10 rhs.
     """
     rectangles = tuple(rectangles)
-    groups: dict[object, list[DyadicRectangle]] = {}
-    level_of: dict[DyadicInterval, object] = {}
-    for n, ivs in decomp_y.buckets.items():
-        for iv in ivs:
-            level_of[iv] = n
-    for iv in decomp_y.bottom:
-        level_of[iv] = "bottom"
+    groups: dict[int | None, list[DyadicRectangle]] = {}
     for r in rectangles:
-        if r.y not in level_of:
+        if r.y not in decomp_y.level_map:
             raise ConfigError(f"{r.y} missing from the y decomposition")
-        groups.setdefault(level_of[r.y], []).append(r)
+        groups.setdefault(decomp_y.level_map[r.y], []).append(r)
     lhs = sum((union_measure(g) for g in groups.values()), Fraction(0))
     rhs = union_measure(rectangles)
     return lhs, rhs

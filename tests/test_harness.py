@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,22 @@ def test_report_formats(tmp_path):
     assert csv_text.splitlines()[0].startswith("deviation")
 
 
+def test_csv_report_keeps_the_header(tmp_path):
+    path = tmp_path / "r.csv"
+    rep = run(ExperimentConfig(kind="oracle_equivalence", trials=2, seed=1,
+                               out=str(path)))
+    lines = path.read_text().splitlines()
+    head = [line for line in lines if line.startswith("#")]
+    assert head == [f"# {k}: {v}" for k, v in rep.header.items()]
+    assert lines[:len(head)] == head
+    for key in ("seed", "rng", "dyadlab", "numpy", "config_sha256"):
+        assert f"# {key}: {rep.header[key]}" in head
+    body = [line for line in lines if not line.startswith("#")]
+    rows = list(csv.DictReader(body))
+    assert rows == list(csv.DictReader(io.StringIO(rep.to_csv())))
+    assert [int(r["trial"]) for r in rows] == [0, 1]
+
+
 def test_model_spec_config_roundtrip(tmp_path):
     path = tmp_path / "model.cfg"
     path.write_text("""
@@ -188,3 +207,5 @@ def test_cli_invariants_pass(capsys):
     assert cli_main(["invariants", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+    assert out.startswith("kind: invariants\n")
+    assert out.index("config_sha256: ") < out.index("[PASS]")

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyadlab.dyadic import (DyadicInterval, DyadicRectangle, Grid1D,
-                            GridFunction1D, GridFunction2D, enumerate_dyadic,
-                            measure_intersection)
-from dyadlab.errors import ConfigError
+                            GridFunction1D, GridFunction2D, _level_below,
+                            _times_pow2, enumerate_dyadic, measure_intersection)
+from dyadlab.errors import ConfigError, DomainError, ResolutionError
 from dyadlab.harness import generate_test_functions
 from dyadlab.operators import maximal_function
-from dyadlab.stopping import (build_exceptional_set, check_index_observation_I,
+from dyadlab.stopping import (LevelSetDecomposition1D, build_exceptional_set,
+                              check_index_observation_I,
                               check_index_observation_II,
                               level_decomposition_1d,
                               level_set_decomposition_2d, sparsity_check_1d,
@@ -309,3 +311,237 @@ def test_pair_union_levels_near_dbl_max():
     # n < 0 and so B > 2, and A = B = 1.5 meet at n = 0
     assert mask.tolist() == [[True, True, False, True], [False] * 4,
                              [False] * 4, [False, False, False, True]]
+
+
+# ---------------------------------------------------- per-interval references
+
+def _qualifying_value_reference(values, frac):
+    """Largest v such that strictly more than frac of the cells exceed any
+    threshold below v; i.e. the k0-th largest value with k0 = floor(c*frac)+1."""
+    c = values.size
+    k0 = int(c * frac) + 1
+    if k0 > c:
+        return 0.0
+    return float(np.partition(values, c - k0)[c - k0])
+
+
+def _max_level_reference(vstar, c, weight):
+    if vstar <= 0 or weight <= 0:
+        return None
+    return _level_below(vstar, c, weight)
+
+
+def _level_decomposition_reference(collection, driver, constant, weight,
+                                   fraction=Fraction(1, 10)):
+    """One driver.restrict and one partition per interval."""
+    buckets, bottom = {}, []
+    for iv in collection:
+        vstar = _qualifying_value_reference(driver.restrict(iv), fraction)
+        n = _max_level_reference(vstar, constant, weight)
+        if n is None:
+            bottom.append(iv)
+        else:
+            buckets.setdefault(n, []).append(iv)
+    return {n: tuple(sorted(v)) for n, v in buckets.items()}, tuple(sorted(bottom))
+
+
+def _sparsity_reference(decomp, gap=10):
+    """Fraction masses summed interval by interval, minima restricted one
+    interval at a time."""
+    out = []
+    for n in sorted(decomp.buckets):
+        for j0 in decomp.buckets.get(n - gap, ()):
+            mass = sum((j.length for j in decomp.buckets[n]
+                        if not (j.right <= j0.left or j.left >= j0.right)),
+                       Fraction(0))
+            if mass > j0.length / 2:
+                out.append(f"level {n}: mass {mass} around {j0} exceeds "
+                           f"{j0.length / 2}")
+        floor_val = _times_pow2(n - 7, decomp.constant, decomp.weight)
+        for j in decomp.buckets[n]:
+            if float(np.min(decomp.driver.restrict(j))) <= floor_val:
+                out.append(f"level {n}: driver dips to "
+                           f"{float(np.min(decomp.driver.restrict(j)))} on {j}, "
+                           f"needs > {floor_val}")
+    return out
+
+
+def _level_of_reference(decomp, interval):
+    for n, ivs in decomp.buckets.items():
+        if interval in ivs:
+            return n
+    return None
+
+
+@st.composite
+def level_cases(draw):
+    """(collection, driver, constant, weight, fraction, gap).
+
+    The collection is either every interval of the grid down to one cell or a
+    draw with repeats from them (partial scales, single cells).  Drivers are
+    zero, powers of two with zeros (ties, values on thresholds) or floats
+    spread over 2^18; constants and gaps reach small enough values that both
+    kinds of violation occur."""
+    box, res = draw(st.integers(0, 2)), draw(st.integers(0, 6))
+    grid = Grid1D(box, res)
+    pool = enumerate_dyadic(grid, -res, box)
+    if draw(st.booleans()):
+        collection = pool
+    else:
+        collection = draw(st.lists(st.sampled_from(pool), max_size=24))
+    kind = draw(st.sampled_from(["zero", "pow2", "float"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 2.0 ** rng.integers(-4, 15, grid.n_points)
+    if kind == "zero":
+        samples = np.zeros(grid.n_points)
+    elif kind == "pow2":
+        samples = np.where(rng.random(grid.n_points) < 0.2, 0.0, scale)
+    else:
+        samples = rng.random(grid.n_points) * scale
+    constant = draw(st.sampled_from([2.0 ** -6, 0.75, 1.0, 2.0 ** 10]))
+    weight = draw(st.sampled_from([0.0, 2.0 ** -4, 0.3, 1.0]))
+    fraction = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 100),
+                                     Fraction(1, 2), Fraction(1)]))
+    gap = draw(st.sampled_from([10, 2, 1, 0]))
+    return (collection, GridFunction1D(grid, samples), constant, weight,
+            fraction, gap)
+
+
+@given(level_cases())
+@settings(max_examples=150, deadline=None)
+def test_level_decomposition_and_sparsity_match_per_interval_reference(case):
+    collection, driver, constant, weight, fraction, gap = case
+    decomp = level_decomposition_1d(collection, driver, constant, weight, fraction)
+    assert (decomp.buckets, decomp.bottom) == _level_decomposition_reference(
+        collection, driver, constant, weight, fraction)
+    assert sparsity_check_1d(decomp, gap) == _sparsity_reference(decomp, gap)
+    for iv in list(collection) + [DyadicInterval(driver.grid.box_exp + 1, 0)]:
+        assert decomp.level_of(iv) == _level_of_reference(decomp, iv)
+
+
+def test_level_cases_reach_both_violations():
+    """The strategy above is not vacuous: some fixed draws violate."""
+    found = set()
+
+    @given(level_cases())
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    def collect(case):
+        collection, driver, constant, weight, fraction, gap = case
+        decomp = level_decomposition_1d(collection, driver, constant, weight,
+                                        fraction)
+        for line in sparsity_check_1d(decomp, gap):
+            found.add("mass" if " mass " in line else "dips")
+
+    collect()
+    assert found == {"mass", "dips"}
+
+
+G4 = Grid1D(0, 4)  # box [0,1), 16 cells
+BIG = 1.5 * 2.0 ** 10  # level 10 at C = w = 1; 1.5 sits on level 0
+
+
+def test_sparsity_reports_one_mass_violation():
+    # a single hot cell: the cell (repeated nine times) lands on level 10,
+    # the box on level 0, and the nine copies carry 9/16 > 1/2 of it
+    samples = np.full(G4.n_points, 1.5)
+    samples[0] = BIG
+    cell = DyadicInterval(-4, 0)
+    decomp = level_decomposition_1d([UNIT] + [cell] * 9,
+                                    GridFunction1D(G4, samples), 1.0, 1.0)
+    assert decomp.buckets == {0: (UNIT,), 10: (cell,) * 9}
+    assert sparsity_check_1d(decomp) == [
+        "level 10: mass 9/16 around I(k=0,n=0) exceeds 1/2"]
+    # eight copies carry exactly half, which is allowed
+    decomp = level_decomposition_1d([UNIT] + [cell] * 8,
+                                    GridFunction1D(G4, samples), 1.0, 1.0)
+    assert decomp.buckets == {0: (UNIT,), 10: (cell,) * 8}
+    assert sparsity_check_1d(decomp) == []
+
+
+def test_sparsity_reports_one_driver_dip():
+    # two hot cells lift the box to level 10, where the floor is 2^3
+    samples = np.full(G4.n_points, 1.5)
+    samples[3] = samples[9] = BIG
+    decomp = level_decomposition_1d([UNIT], GridFunction1D(G4, samples), 1.0, 1.0)
+    assert decomp.buckets == {10: (UNIT,)}
+    assert sparsity_check_1d(decomp) == [
+        "level 10: driver dips to 1.5 on I(k=0,n=0), needs > 8.0"]
+    # a driver resting on the floor dips too
+    samples[samples == 1.5] = 8.0
+    decomp = level_decomposition_1d([UNIT], GridFunction1D(G4, samples), 1.0, 1.0)
+    assert sparsity_check_1d(decomp) == [
+        "level 10: driver dips to 8.0 on I(k=0,n=0), needs > 8.0"]
+
+
+def test_level_of_map():
+    samples = np.full(G4.n_points, 1.5)
+    samples[0] = BIG
+    left, right = DyadicInterval(-1, 0), DyadicInterval(-1, 1)
+    decomp = level_decomposition_1d([left, right], GridFunction1D(G4, samples),
+                                    1.0, 1.0, Fraction(1, 8))
+    # right is flat at 1.5 (level 0); left's second largest of 8 cells is 1.5
+    assert decomp.level_of(left) == decomp.level_of(right) == 0
+    low = level_decomposition_1d([left, right], GridFunction1D(G4, samples),
+                                 1.0, 0.0)
+    assert low.bottom == (left, right)
+    assert low.level_of(left) is None and low.level_of(UNIT) is None
+    assert low.level_map == {left: None, right: None}
+    # a bottom y interval joins one group; an absent one is an error
+    r = DyadicRectangle(UNIT, left)
+    assert sparsity_check_2d([r], low) == (1 / 2, 1 / 2)
+    with pytest.raises(ConfigError, match="missing from the y decomposition"):
+        sparsity_check_2d([DyadicRectangle(UNIT, UNIT)], low)
+
+
+OFF_GRID = {
+    "finer": DyadicInterval(-5, 0),
+    "above_box": DyadicInterval(1, 0),
+    "right_of_box": DyadicInterval(-1, 2),
+    "negative": DyadicInterval(-2, -1),
+    "beyond_int64": DyadicInterval(-2, 2 ** 70),
+}
+
+
+@pytest.mark.parametrize("bad", [["finer"], ["above_box"], ["right_of_box"],
+                                 ["negative"], ["finer", "negative"],
+                                 ["negative", "finer"], ["beyond_int64"],
+                                 ["finer", "beyond_int64"]],
+                         ids=lambda b: "+".join(b))
+def test_off_grid_intervals_raise_the_first_error(bad):
+    """The first interval off the grid raises its cell_range error, in the
+    decomposition and in a hand-built decomposition's sparsity check."""
+    driver = GridFunction1D(G4, np.ones(G4.n_points))
+    collection = [UNIT, DyadicInterval(-2, 1)] + [OFF_GRID[b] for b in bad]
+    first = OFF_GRID[bad[0]]
+    expect = ResolutionError if first.k < -4 else DomainError
+    with pytest.raises(expect) as ref:
+        _level_decomposition_reference(collection, driver, 1.0, 1.0)
+    with pytest.raises(expect, match=re.escape(str(ref.value))):
+        level_decomposition_1d(collection, driver, 1.0, 1.0)
+    decomp = LevelSetDecomposition1D({-3: (UNIT,), 2: tuple(collection)}, (),
+                                     driver, 1.0, 1.0)
+    with pytest.raises(expect, match=re.escape(str(ref.value))):
+        sparsity_check_1d(decomp)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1.5, 2.0 ** -4]),
+       st.sampled_from([Fraction(1, 100), Fraction(1, 4), Fraction(1)]))
+@settings(max_examples=15, deadline=None)
+def test_level_set_2d_matches_per_rectangle_reference(seed, c3, fraction):
+    rng = np.random.default_rng(seed)
+    ivs = enumerate_dyadic(G, -3, 1)
+    rect = [DyadicRectangle(ivs[int(rng.integers(len(ivs)))],
+                            ivs[int(rng.integers(len(ivs)))]) for _ in range(40)]
+    h = GridFunction2D(G, G, rng.standard_normal((G.n_points, G.n_points)))
+    e_prime = GridFunction2D(G, G, (rng.random((G.n_points, G.n_points)) < 0.5)
+                             * 1.0)
+    decomp = level_set_decomposition_2d(rect, h, e_prime, c3, 1.5, fraction)
+    ref = {}
+    for r in rect:
+        v1 = _qualifying_value_reference(decomp.driver1.restrict(r).ravel(), fraction)
+        v2 = _qualifying_value_reference(decomp.driver2.restrict(r).ravel(), fraction)
+        k1 = _max_level_reference(v1, c3, decomp.weight1)
+        k2 = (_max_level_reference(v2, c3, decomp.weight2)
+              if decomp.weight2 > 0 else None)
+        ref.setdefault((k1, k2), []).append(r)
+    assert decomp.buckets == {k: tuple(sorted(v)) for k, v in ref.items()}
