@@ -9,9 +9,10 @@ is a left-endpoint Riemann sum with uniform weights.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import ConfigError, DomainError, ResolutionError
 __all__ = [
     "DyadicInterval",
     "DyadicRectangle",
+    "RectangleTable",
     "Grid1D",
     "GridFunction1D",
     "GridFunction2D",
@@ -27,7 +29,6 @@ __all__ = [
     "disjoint",
     "measure_intersection",
     "enumerate_dyadic",
-    "shape_groups",
     "tensor",
 ]
 
@@ -252,15 +253,24 @@ def measure_intersection(interval: DyadicInterval, indicator: GridFunction1D) ->
     return count * indicator.grid.cell_width
 
 
+def _dyadic_positions(box_exp: int, k_min: int, k_max: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Scales and positions of the dyadic subintervals of [0, 2^box_exp) with
+    scales in [k_min, k_max], coarsest scale first, as int64 arrays."""
+    if k_min > k_max:
+        raise ValueError("k_min must be <= k_max")
+    ks = np.arange(min(k_max, box_exp), k_min - 1, -1, dtype=np.int64)
+    counts = np.left_shift(1, box_exp - ks)
+    firsts = np.cumsum(counts) - counts
+    return (np.repeat(ks, counts),
+            np.arange(counts.sum(), dtype=np.int64) - np.repeat(firsts, counts))
+
+
 def enumerate_dyadic(domain: Grid1D, k_min: int, k_max: int) -> list[DyadicInterval]:
     """All dyadic subintervals of the grid's box with scales in [k_min, k_max]
     (the grid's resolution is ignored here), coarsest scale first."""
-    if k_min > k_max:
-        raise ValueError("k_min must be <= k_max")
-    out: list[DyadicInterval] = []
-    for k in range(min(k_max, domain.box_exp), k_min - 1, -1):
-        out.extend(DyadicInterval(k, n) for n in range(2 ** (domain.box_exp - k)))
-    return out
+    ks, ns = _dyadic_positions(domain.box_exp, k_min, k_max)
+    return [DyadicInterval(k, n) for k, n in zip(ks.tolist(), ns.tolist())]
 
 
 def _mantissa_product(factors) -> tuple[float, int]:
@@ -290,17 +300,103 @@ def _times_pow2(n: int, *factors) -> float:
     return math.ldexp(m, e + n)
 
 
-def shape_groups(rectangles: Sequence[DyadicRectangle]
-                 ) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The rectangles grouped by shape (x scale, y scale).
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Each shape maps to (idx, nx, ny): the rectangles' positions in the
-    sequence, in increasing order, and their x and y interval positions.
+
+def _distinct(k: np.ndarray, n: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (k, n) pairs, sorted as DyadicInterval sorts, and the
+    index of each given pair among them."""
+    order = np.lexsort((n, k))
+    k, n = k[order], n[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (k[1:] != k[:-1]) | (n[1:] != n[:-1])
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return _frozen(k[new]), _frozen(n[new]), _frozen(inverse)
+
+
+class RectangleTable(Sequence):
+    """A list of dyadic rectangles as integer arrays, in list order.
+
+    Rectangle i is I(kx[i], nx[i]) x I(ky[i], ny[i]).  groups maps each shape
+    (kx, ky), in increasing order, to (idx, nx, ny): the positions of the
+    rectangles of that shape, increasing, and their x and y interval
+    positions.  The distinct x intervals, sorted as DyadicInterval sorts, are
+    I(x_k[a], x_n[a]), and x_inverse[i] is the a of rectangle i; likewise on
+    y.  All arrays are int64 and read-only.
+
+    As a sequence the table is the rectangle list: len, indexing, slicing
+    (to a tuple) and iteration give DyadicRectangle objects, built on demand.
     """
-    table = np.array([(r.x.k, r.y.k, r.x.n, r.y.n) for r in rectangles],
-                     dtype=np.int64).reshape(-1, 4)
-    key = table[:, 0] * (1 << 32) + table[:, 1]  # orders shapes as (kx, ky) pairs
-    order = np.argsort(key, kind="stable")
-    parts = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
-    return {(int(table[i[0], 0]), int(table[i[0], 1])): (i, table[i, 2], table[i, 3])
-            for i in parts if i.size}
+
+    def __init__(self, kx, nx, ky, ny):
+        self.kx, self.nx, self.ky, self.ny = (
+            _frozen(np.array(a, dtype=np.int64)) for a in (kx, nx, ky, ny))
+        self.x_k, self.x_n, self.x_inverse = _distinct(self.kx, self.nx)
+        self.y_k, self.y_n, self.y_inverse = _distinct(self.ky, self.ny)
+        order = _frozen(np.lexsort((self.ky, self.kx)))  # stable
+        kx, ky = self.kx[order], self.ky[order]
+        cuts = np.flatnonzero((kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])) + 1
+        self.groups = {
+            (int(self.kx[i[0]]), int(self.ky[i[0]])):
+                (i, _frozen(self.nx[i]), _frozen(self.ny[i]))
+            for i in np.split(order, cuts) if i.size}
+
+    @classmethod
+    def of(cls, rectangles: Iterable[DyadicRectangle]) -> "RectangleTable":
+        """The table of a rectangle sequence; a table is returned as it is."""
+        if isinstance(rectangles, cls):
+            return rectangles
+        rows = np.array([(r.x.k, r.x.n, r.y.k, r.y.n) for r in rectangles],
+                        dtype=np.int64).reshape(-1, 4)
+        return cls(*rows.T)
+
+    @classmethod
+    def full(cls, grid_x: Grid1D, grid_y: Grid1D, k_min: int) -> "RectangleTable":
+        """Every dyadic rectangle of the box with both scales at least k_min:
+        I x J for I, then J, running over enumerate_dyadic(grid, k_min,
+        grid.box_exp) of their axis."""
+        xk, xn = _dyadic_positions(grid_x.box_exp, k_min, grid_x.box_exp)
+        yk, yn = _dyadic_positions(grid_y.box_exp, k_min, grid_y.box_exp)
+        return cls(np.repeat(xk, yk.size), np.repeat(xn, yk.size),
+                   np.tile(yk, xk.size), np.tile(yn, xk.size))
+
+    def x_intervals(self) -> list[DyadicInterval]:
+        return [DyadicInterval(k, n)
+                for k, n in zip(self.x_k.tolist(), self.x_n.tolist())]
+
+    def y_intervals(self) -> list[DyadicInterval]:
+        return [DyadicInterval(k, n)
+                for k, n in zip(self.y_k.tolist(), self.y_n.tolist())]
+
+    def _rectangles(self, rows):
+        cols = (a[rows].tolist() for a in (self.kx, self.nx, self.ky, self.ny))
+        return (DyadicRectangle(DyadicInterval(kx, nx), DyadicInterval(ky, ny))
+                for kx, nx, ky, ny in zip(*cols))
+
+    def __len__(self) -> int:
+        return self.kx.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._rectangles(i))
+        return next(self._rectangles([i]))
+
+    def __iter__(self):
+        return self._rectangles(slice(None))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RectangleTable):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in
+                   zip((self.kx, self.nx, self.ky, self.ny),
+                       (other.kx, other.nx, other.ky, other.ny)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(a.tobytes() for a in (self.kx, self.nx, self.ky, self.ny)))
+
+    def __repr__(self) -> str:
+        return f"RectangleTable({len(self)} rectangles, {len(self.groups)} shapes)"

@@ -20,15 +20,16 @@ import numpy as np
 
 from . import __version__
 from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
-                     GridFunction2D, contains, disjoint, enumerate_dyadic)
+                     GridFunction2D, RectangleTable, contains, disjoint,
+                     enumerate_dyadic)
 from .errors import ConfigError
 from .models import (ModelOperatorSpec, MODEL_NAMES, model_operator,
                      multilinear_form, oracle_model_operator)
 from .multiplier import ExponentTuple, leibniz_check
-from .operators import _full_rectangles, maximal_function
+from .operators import maximal_function
 from .stopping import (build_exceptional_set, level_decomposition_1d,
                        sparsity_check_1d, sparsity_check_2d)
-from .wavelets import CoefficientSequence, HAAR_LACUNARY
+from .wavelets import CoefficientSequence, HAAR_LACUNARY, all_coefficients_2d
 
 __all__ = [
     "ExperimentConfig",
@@ -286,19 +287,28 @@ def _random_e_set(rng: np.random.Generator, gx: Grid1D, gy: Grid1D
 
 def _random_h(rng: np.random.Generator, gx: Grid1D, gy: Grid1D,
               bandwidth: int = 12) -> GridFunction2D:
-    """Random band-limited h: fixed-bandwidth spectrum draw, any resolution."""
+    """Random band-limited h: fixed-bandwidth spectrum draw, any resolution.
+
+    Only the rows m1 mod nx, |m1| <= bw, of the spectrum are nonzero, so they
+    are accumulated as a band of 2 bw + 1 rows and only the band is
+    transformed along y; the x transform then runs in place on the full
+    array.  This is ifft2 of the full spectrum, bit for bit.
+    """
     nx, ny = gx.n_points, gy.n_points
     bw = min(bandwidth, nx // 2 - 1, ny // 2 - 1)
     coeffs = ((rng.standard_normal((2 * bw + 1, 2 * bw + 1))
                + 1j * rng.standard_normal((2 * bw + 1, 2 * bw + 1)))
               / (1.0 + np.abs(np.arange(-bw, bw + 1))[:, None]
                  + np.abs(np.arange(-bw, bw + 1))[None, :]))
-    spec = np.zeros((nx, ny), dtype=complex)
+    band = np.zeros((2 * bw + 1, ny), dtype=complex)  # row m1 + bw holds m1 mod nx
     for i, m1 in enumerate(range(-bw, bw + 1)):
         for j, m2 in enumerate(range(-bw, bw + 1)):
-            spec[m1 % nx, m2 % ny] += coeffs[i, j]
-            spec[(-m1) % nx, (-m2) % ny] += np.conj(coeffs[i, j])
-    vals = np.fft.ifft2(spec).real * nx * ny / (2 * bw + 1.0) ** 2
+            band[m1 + bw, m2 % ny] += coeffs[i, j]
+            band[bw - m1, (-m2) % ny] += np.conj(coeffs[i, j])
+    spec = np.zeros((nx, ny), dtype=complex)
+    spec[np.arange(-bw, bw + 1) % nx] = np.fft.ifft(band, axis=1)
+    np.fft.ifft(spec, axis=0, out=spec)
+    vals = spec.real * nx * ny / (2 * bw + 1.0) ** 2
     return GridFunction2D(gx, gy, vals)
 
 
@@ -314,7 +324,7 @@ _MODE_FOR_MODEL = {
 def model_spec_from_config(config: ExperimentConfig, grid_x: Grid1D,
                            grid_y: Grid1D) -> ModelOperatorSpec:
     """The Haar model spec a weak-type run uses, rebuilt from its config."""
-    rectangles = _full_rectangles(grid_x, grid_y, -config.depth)
+    rectangles = RectangleTable.full(grid_x, grid_y, -config.depth)
     inner = enumerate_dyadic(grid_x,
                              -min(config.inner_depth, grid_x.res_exp - 1),
                              grid_x.box_exp)
@@ -327,6 +337,7 @@ def weak_type_trial(config: ExperimentConfig, trial_seed, res_exp: int,
     """One restricted weak-type trial; returns the measured record.
 
     E is placed on a 1/64-aligned bitmap, so the grids need res_exp >= 6.
+    The record includes the grid-cell counts of Omega1, Omega2 and Enl(Omega).
     """
     if res_exp < 6:
         raise ConfigError("res_exp: the weak-type set E needs res_exp >= 6, "
@@ -351,16 +362,20 @@ def weak_type_trial(config: ExperimentConfig, trial_seed, res_exp: int,
     spec = model_spec_from_config(sub, gx, gy)
     rectangles = spec.rectangles
     inner = spec.inner_x
+    # SS_H of Omega2 and the form's h side read the same coefficients: both
+    # pair h with Haar lacunary members on both axes, over the same table.
+    hc = all_coefficients_2d(h, rectangles, HAAR_LACUNARY, HAAR_LACUNARY)
     exc = build_exceptional_set(
         f1, f2, g1, g2, h, e_set, (config.c1, config.c2, config.c3),
         _MODE_FOR_MODEL[config.model], rectangles=rectangles,
-        weights=weights, s=config.s, inner_x=inner, inner_y=inner)
-    lam = multilinear_form(spec, f1, f2, g1, g2, h, exc.e_prime)
+        weights=weights, s=config.s, inner_x=inner, inner_y=inner,
+        h_coefficients=hc)
+    lam = multilinear_form(spec, f1, f2, g1, g2, h, exc.e_prime, h_coefficients=hc)
     exps = config.exponents()
     e_meas = exc.e_measure
     denom = (weights[0] ** (1 / exps.p1) * weights[2] ** (1 / exps.p2)
              * weights[1] ** (1 / exps.q1) * weights[3] ** (1 / exps.q2)
-             * h.norm(config.s) * e_meas ** exps.r_conjugate_reciprocal)
+             * exc.h_norm * e_meas ** exps.r_conjugate_reciprocal)
     # an empty support makes the form vanish; the ratio is 0 by convention
     ratio = abs(lam) / denom if denom > 0 else 0.0
     return {
@@ -372,6 +387,9 @@ def weak_type_trial(config: ExperimentConfig, trial_seed, res_exp: int,
         "res_exp": res_exp,
         "depth": depth,
         "n_rectangles": len(rectangles),
+        "omega1_cells": int(np.count_nonzero(exc.omega1.samples)),
+        "omega2_cells": int(np.count_nonzero(exc.omega2.samples)),
+        "enlarged_cells": int(np.count_nonzero(exc.enlarged.samples)),
     }
 
 

@@ -12,6 +12,9 @@ set (localized variants; the non-lacunary one sums absolute values).
 A model operator pairs an x-side block against each rectangle's x interval, a
 y-side block or paraproduct coefficients against the y interval, and a 2D
 coefficient of h; the output is a linear combination of tensor members.
+A spec holds its rectangles as a dyadic.RectangleTable.  The block and
+paraproduct factors are computed once per distinct x or y interval of the
+table and gathered to the rectangles through its inverse indices.
 model_operator and multilinear_form take the 2D coefficients of every
 rectangle from wavelets.all_coefficients_2d; model_operator sums the terms
 as X^T C Y, multilinear_form pairs them with the dual's coefficients.
@@ -25,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import (DyadicInterval, DyadicRectangle, GridFunction1D,
-                     GridFunction2D, contains, shape_groups)
+from .dyadic import (DyadicInterval, GridFunction1D, GridFunction2D,
+                     RectangleTable, contains)
 from .errors import ConfigError
 from .size_energy import size
 from .wavelets import (CutoffFamily, CoefficientSequence, all_coefficients,
@@ -145,10 +148,13 @@ class ModelOperatorSpec:
     y_para = (p1_J, p2_J, p3_J): g1 and g2 coefficients (p2 doubles as the
     h-coefficient family, as displayed) and the output family; at least two of
     the three must be lacunary.
+
+    rectangles may be given as any sequence of DyadicRectangle; it is kept as
+    its RectangleTable, which reads as the same sequence.
     """
 
     which: str
-    rectangles: tuple[DyadicRectangle, ...]
+    rectangles: RectangleTable
     inner_x: tuple[DyadicInterval, ...]
     inner_y: tuple[DyadicInterval, ...] = ()
     sharp1: int = 0
@@ -162,6 +168,7 @@ class ModelOperatorSpec:
     def __post_init__(self):
         if self.which not in MODEL_NAMES:
             raise ConfigError(f"unknown model {self.which!r}")
+        object.__setattr__(self, "rectangles", RectangleTable.of(self.rectangles))
         if not self.rectangles:
             raise ConfigError("empty rectangle collection")
         if sum(f.lacunary for f in self.inner_x_families) < 2:
@@ -210,13 +217,13 @@ class ModelOperatorSpec:
 
     @classmethod
     def haar(cls, which: str, rectangles, inner_x, inner_y=(), sharp1=0, sharp2=0):
-        return cls(which, tuple(rectangles), tuple(inner_x), tuple(inner_y),
+        return cls(which, rectangles, tuple(inner_x), tuple(inner_y),
                    sharp1, sharp2)
 
     @classmethod
     def smooth(cls, which: str, rectangles, inner_x, inner_y=(), sharp1=0, sharp2=0):
         smooth_outer = (SMOOTH_NONLACUNARY, SMOOTH_LACUNARY, SMOOTH_LACUNARY)
-        return cls(which, tuple(rectangles), tuple(inner_x), tuple(inner_y),
+        return cls(which, rectangles, tuple(inner_x), tuple(inner_y),
                    sharp1, sharp2,
                    inner_x_families=_SMOOTH_TRIPLE, inner_y_families=_SMOOTH_TRIPLE,
                    x_outer=smooth_outer, y_outer=smooth_outer,
@@ -334,18 +341,17 @@ def _y_coefficients(spec: ModelOperatorSpec, ys: Sequence[DyadicInterval],
 
 
 def _rectangle_weights(spec: ModelOperatorSpec, f1, f2, g1, g2):
-    """Each rectangle's weight (b_I / |I|^{1/2}) y_J n_J, in rectangle order;
-    the sorted x and y intervals; the y side's h-coefficient and output
-    families."""
-    xs = sorted({r.x for r in spec.rectangles})
-    ys = sorted({r.y for r in spec.rectangles})
+    """Each rectangle's weight (b_I / |I|^{1/2}) y_J n_J, in rectangle order,
+    gathered from the factors of the table's distinct x and y intervals; those
+    intervals, sorted; the y side's h-coefficient and output families."""
+    table = spec.rectangles
+    xs, ys = table.x_intervals(), table.y_intervals()
     bx = _x_coefficients(spec, xs, f1, f2)
     y_factor, norm_y, h_y_family, out_y_family = _y_coefficients(spec, ys, g1, g2)
-    x_factor = {I: bx[I] / math.ldexp(1.0, I.k) ** 0.5 for I in xs}
-    rectangles = spec.rectangles
-    w = (np.array([x_factor[r.x] for r in rectangles])
-         * np.array([y_factor[r.y] for r in rectangles])
-         * np.array([norm_y[r.y] for r in rectangles]))
+    x_factor = np.array([bx[I] / math.ldexp(1.0, I.k) ** 0.5 for I in xs])
+    w = (x_factor[table.x_inverse]
+         * np.array([y_factor[J] for J in ys])[table.y_inverse]
+         * np.array([norm_y[J] for J in ys])[table.y_inverse])
     return w, xs, ys, h_y_family, out_y_family
 
 
@@ -359,14 +365,11 @@ def model_operator(spec: ModelOperatorSpec, f1: GridFunction1D, f2: GridFunction
     output members on the x and y intervals.
     """
     gx, gy = h.grid_x, h.grid_y
+    table = spec.rectangles
     w, xs, ys, h_y_family, out_y_family = _rectangle_weights(spec, f1, f2, g1, g2)
-    hc = all_coefficients_2d(h, shape_groups(spec.rectangles), spec.x_outer[1],
-                             h_y_family)
-    row = {I: a for a, I in enumerate(xs)}
-    col = {J: b for b, J in enumerate(ys)}
+    hc = all_coefficients_2d(h, table, spec.x_outer[1], h_y_family)
     c = np.zeros((len(xs), len(ys)))
-    np.add.at(c, ([row[r.x] for r in spec.rectangles],
-                  [col[r.y] for r in spec.rectangles]), w * hc)
+    np.add.at(c, (table.x_inverse, table.y_inverse), w * hc)
     x_members = np.array([spec.x_outer[2].member(I, gx) for I in xs])
     y_members = np.array([out_y_family.member(J, gy) for J in ys])
     return GridFunction2D(gx, gy, (x_members.T @ c) @ y_members)
@@ -424,20 +427,27 @@ def oracle_model_operator(spec: ModelOperatorSpec, f1, f2, g1, g2, h,
 
 
 def multilinear_form(spec: ModelOperatorSpec, f1, f2, g1, g2, h,
-                     dual: GridFunction2D) -> float:
+                     dual: GridFunction2D,
+                     h_coefficients: np.ndarray | None = None) -> float:
     """<model(f1, f2, g1, g2, h), dual> as a grid inner product.
 
     The sum over the rectangles R = I x J of weight times <h, m2_I tensor m2_J>
-    times <dual, m3_I tensor m3_J>, taken in rectangle order; both
-    coefficient arrays come from all_coefficients_2d, one after the other, and
-    no full-grid output is materialized.
+    times <dual, m3_I tensor m3_J>, taken in rectangle order.  Both
+    coefficient arrays come from all_coefficients_2d, one after the other,
+    unless the caller passes h's, in rectangle order, as h_coefficients; no
+    full-grid output is materialized.
     """
     if dual.samples.shape != h.samples.shape:
         raise ConfigError("dual lives on a different grid")
+    table = spec.rectangles
     w, _, _, h_y_family, out_y_family = _rectangle_weights(spec, f1, f2, g1, g2)
-    groups = shape_groups(spec.rectangles)
-    terms = w * all_coefficients_2d(h, groups, spec.x_outer[1], h_y_family)
-    terms *= all_coefficients_2d(dual, groups, spec.x_outer[2], out_y_family)
+    if h_coefficients is None:
+        h_coefficients = all_coefficients_2d(h, table, spec.x_outer[1], h_y_family)
+    elif np.shape(h_coefficients) != (len(table),):
+        raise ConfigError(f"expected {len(table)} h coefficients, "
+                          f"got shape {np.shape(h_coefficients)}")
+    terms = w * h_coefficients
+    terms *= all_coefficients_2d(dual, table, spec.x_outer[2], out_y_family)
     terms[w == 0.0] = 0.0  # a vanishing weight contributes nothing
     total = 0.0
     for t in terms.tolist():  # in rectangle order, as a plain running sum

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
-                     GridFunction2D, enumerate_dyadic, shape_groups)
+                     GridFunction2D, RectangleTable, enumerate_dyadic)
 from .errors import ConfigError, DomainError, ResolutionError
 from .wavelets import (CutoffFamily, all_coefficients, all_coefficients_2d,
                        block_sums, HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
@@ -46,7 +46,7 @@ def maximal_function(f: GridFunction1D) -> GridFunction1D:
     best_i = max(avg_i, up(best_{i+1})) over blocks of 2^i cells.
     """
     levels = f.grid.box_exp + f.grid.res_exp
-    sums = block_sums(np.abs(f.samples).astype(float), 0, levels)
+    sums = block_sums(np.abs(f.samples).astype(float, copy=False), 0, levels)
     best = sums[levels] * math.ldexp(1.0, -levels)
     for i in range(levels - 1, -1, -1):
         best = np.maximum(sums[i] * math.ldexp(1.0, -i), np.repeat(best, 2))
@@ -96,7 +96,8 @@ def maximal_function_2d(h: GridFunction2D,
     given collection containing the point.
     """
     if rectangles is None:
-        best = _strong_maximal_full(np.abs(h.samples).astype(float))
+        # a fresh array: the recurrence writes into its input
+        best = _strong_maximal_full(np.abs(h.samples).astype(float, copy=False))
         return GridFunction2D(h.grid_x, h.grid_y, best)
     best = np.zeros((h.grid_x.n_points, h.grid_y.n_points))
     area = h.cell_area
@@ -194,14 +195,17 @@ def _x_scale_rows(gx: Grid1D, gy: Grid1D, groups: dict, terms: np.ndarray,
 
 
 def hybrid_2d(h: GridFunction2D, kind: HybridKind,
-              rectangles: Sequence[DyadicRectangle],
-              families: tuple[CutoffFamily, CutoffFamily] | None = None
-              ) -> GridFunction2D:
+              rectangles: RectangleTable | Sequence[DyadicRectangle],
+              families: tuple[CutoffFamily, CutoffFamily] | None = None,
+              coefficients: np.ndarray | None = None) -> GridFunction2D:
     """The 2D hybrid operators SS, (SS)^H, MS, (MS)^H, SM, (SM)^H and MM.
 
-    The rectangle coefficients come from wavelets.all_coefficients_2d, and
-    every kind but MM is assembled per rectangle shape: SS and (SS)^H shape by
-    shape, MS and SM one x scale at a time, reducing over the y scales.
+    rectangles is a dyadic.RectangleTable, or a rectangle sequence that is
+    turned into one.  The rectangle coefficients of h for the kind's families
+    come from wavelets.all_coefficients_2d, unless the caller passes them, in
+    rectangle order, as coefficients.  Every kind but MM is assembled per
+    shape of the table's groups: SS and (SS)^H shape by shape, MS and SM one
+    x scale at a time, reducing over the y scales.
     """
     kind = HybridKind(kind)
     if kind in (HybridKind.M, HybridKind.S):
@@ -210,8 +214,15 @@ def hybrid_2d(h: GridFunction2D, kind: HybridKind,
         return maximal_function_2d(h, rectangles)
 
     fx, fy = _hybrid_families(kind, families)
-    groups = shape_groups(tuple(rectangles))
-    coeffs = all_coefficients_2d(h, groups, fx, fy)
+    table = RectangleTable.of(rectangles)
+    groups = table.groups
+    if coefficients is None:
+        coeffs = all_coefficients_2d(h, table, fx, fy)
+    elif np.shape(coefficients) != (len(table),):
+        raise ConfigError(f"expected {len(table)} rectangle coefficients, "
+                          f"got shape {np.shape(coefficients)}")
+    else:
+        coeffs = coefficients
     gx, gy = h.grid_x, h.grid_y
     base = kind.value[:-2] if kind.value.endswith("_H") else kind.value
 
@@ -232,13 +243,6 @@ def hybrid_2d(h: GridFunction2D, kind: HybridKind,
         view = out.reshape(rows.shape[0], -1, gy.n_points)
         view += (rows * math.ldexp(1.0, -kx))[:, None, :]
     return GridFunction2D(gx, gy, np.sqrt(out))
-
-
-def _full_rectangles(gx: Grid1D, gy: Grid1D, k_min: int) -> list[DyadicRectangle]:
-    """Every dyadic rectangle of the box with both scales at least k_min."""
-    xs = enumerate_dyadic(gx, k_min, gx.box_exp)
-    ys = enumerate_dyadic(gy, k_min, gy.box_exp)
-    return [DyadicRectangle(i, j) for i in xs for j in ys]
 
 
 def estimate_operator_norm(kind: HybridKind, p: float, trials: int, seed: int,
@@ -264,7 +268,7 @@ def estimate_operator_norm(kind: HybridKind, p: float, trials: int, seed: int,
     one_dim = kind in (HybridKind.M, HybridKind.S)
     if not one_dim and rectangles is None:
         k_min = 1 - res_exp  # halves of every rectangle stay resolvable
-        rectangles = _full_rectangles(gx, gy, k_min)
+        rectangles = RectangleTable.full(gx, gy, k_min)
     intervals = enumerate_dyadic(gx, 1 - res_exp, box_exp)
     best = 0.0
     for _ in range(trials):

@@ -11,7 +11,7 @@ The 1D decomposition and its sparsity check run one dyadic scale at a time:
 the intervals of scale k tile the box, so the driver viewed as rows of
 2^(k + res_exp) cells holds one interval per row, and order statistics and
 minima over intervals are taken along those rows.  The 2D decomposition does
-the same per rectangle shape.
+the same per rectangle shape, one shape of a dyadic.RectangleTable at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
-                     GridFunction2D, _level_below, _times_pow2, shape_groups)
+                     GridFunction2D, RectangleTable, _level_below, _times_pow2)
 from .errors import ConfigError
 from .models import BilinearBlockSpec, bilinear_block
 from .operators import (HybridKind, hybrid_2d, maximal_function,
@@ -236,7 +236,7 @@ class LevelSetDecomposition2D:
         return "\n".join(lines)
 
 
-def level_set_decomposition_2d(rectangles: Sequence[DyadicRectangle],
+def level_set_decomposition_2d(rectangles: RectangleTable | Sequence[DyadicRectangle],
                                h: GridFunction2D, e_prime: GridFunction2D,
                                c3: float, s: float,
                                fraction: Fraction = Fraction(1, 100),
@@ -245,21 +245,21 @@ def level_set_decomposition_2d(rectangles: Sequence[DyadicRectangle],
 
     k1 is the maximal level with |R & {SSh > c3 2^{k1} ||h||_s}| > |R|/100,
     and k2 the analogue for the Haar double square function of chi_{E'}
-    thresholded by its own L^s norm.  h must be nonzero.  The qualifying
-    values come one rectangle shape at a time, from one np.partition over the
-    shape's blocks of each double square function, gathered as rows.
+    thresholded by its own L^s norm.  h must be nonzero.  The rectangles are
+    read as one RectangleTable; the qualifying values come one shape of it at
+    a time, from one np.partition over the shape's blocks of each double
+    square function, gathered as rows.
     """
     if float(np.max(np.abs(h.samples))) == 0.0:
         raise ConfigError("h must be nonzero")
-    rectangles = tuple(rectangles)
-    fams = None
+    table = RectangleTable.of(rectangles)
     kind = HybridKind.SS_H if flavor == "haar" else HybridKind.SS
-    ss_h = hybrid_2d(h, kind, rectangles, fams)
-    ss_e = hybrid_2d(e_prime, HybridKind.SS_H, rectangles, None)
+    ss_h = hybrid_2d(h, kind, table)
+    ss_e = hybrid_2d(e_prime, HybridKind.SS_H, table)
     w1 = h.norm(s)
     w2 = e_prime.norm(s)
-    v1, v2 = np.zeros(len(rectangles)), np.zeros(len(rectangles))
-    for (kx, ky), (idx, nx, ny) in shape_groups(rectangles).items():
+    v1, v2 = np.zeros(len(table)), np.zeros(len(table))
+    for (kx, ky), (idx, nx, ny) in table.groups.items():
         for ss, v in ((ss_h, v1), (ss_e, v2)):
             bx, by = 1 << (kx + ss.grid_x.res_exp), 1 << (ky + ss.grid_y.res_exp)
             blocks = ss.samples.reshape(-1, bx, ss.grid_y.n_points // by, by)
@@ -269,7 +269,7 @@ def level_set_decomposition_2d(rectangles: Sequence[DyadicRectangle],
     keys = zip(_max_levels(v1, c3, w1).tolist(),
                _max_levels(v2, c3, w2 if w2 > 0 else 0.0).tolist())
     buckets: dict[tuple[int | None, int | None], list[DyadicRectangle]] = {}
-    for (k1, k2), r in zip(keys, rectangles):
+    for (k1, k2), r in zip(keys, table):
         key = (None if k1 == _BOTTOM else k1, None if k2 == _BOTTOM else k2)
         buckets.setdefault(key, []).append(r)
     return LevelSetDecomposition2D(
@@ -279,7 +279,8 @@ def level_set_decomposition_2d(rectangles: Sequence[DyadicRectangle],
 
 @dataclass
 class ExceptionalSet:
-    """Omega = Omega1 union Omega2, its enlargement and E' = E minus Enl."""
+    """Omega = Omega1 union Omega2, its enlargement and E' = E minus Enl;
+    h_norm is ||h||_s, the scale of the Omega2 threshold."""
 
     omega1: GridFunction2D
     omega2: GridFunction2D
@@ -289,6 +290,7 @@ class ExceptionalSet:
     e_prime: GridFunction2D
     constants: tuple[float, float, float]
     mode: str
+    h_norm: float
 
     @property
     def e_measure(self) -> float:
@@ -327,13 +329,14 @@ def build_exceptional_set(f1: GridFunction1D, f2: GridFunction1D,
                           h: GridFunction2D, e_set: GridFunction2D,
                           constants: tuple[float, float, float],
                           mode: str = "fixed_scale", *,
-                          rectangles: Sequence[DyadicRectangle] = (),
+                          rectangles: RectangleTable | Sequence[DyadicRectangle] = (),
                           weights: tuple[float, float, float, float] | None = None,
                           s: float = 1.5, p: float = 2.0, t: float = 1.0,
                           inner_x: Sequence[DyadicInterval] = (),
                           inner_y: Sequence[DyadicInterval] = (),
                           block_families=None,
-                          ss_flavor: str = "haar") -> ExceptionalSet:
+                          ss_flavor: str = "haar",
+                          h_coefficients: np.ndarray | None = None) -> ExceptionalSet:
     """Construct Omega, Enl(Omega) and E' for one of the four localization modes.
 
     fixed_scale: four product ladders pairing M f_i against M g_j with the
@@ -343,7 +346,10 @@ def build_exceptional_set(f1: GridFunction1D, f2: GridFunction1D,
     linf_fixed: the single f1/g1 ladder with L^p-norm weights.
     linf_easy: a single ladder of global-block maximal functions with L^t
       weights.
-    Omega2 is the square-function level set {SS h > C3 ||h||_s} throughout.
+    Omega2 is the square-function level set {SS h > C3 ||h||_s} throughout,
+    over the given rectangles; h_coefficients, when given, are h's rectangle
+    coefficients for the SS kind's families, in rectangle order, and
+    hybrid_2d uses them instead of computing its own.
     """
     c1, c2, c3 = constants
     if e_set.integral() <= 0:
@@ -387,10 +393,11 @@ def build_exceptional_set(f1: GridFunction1D, f2: GridFunction1D,
         raise ConfigError(f"unknown exceptional-set mode {mode!r}")
 
     omega1 = GridFunction2D(h.grid_x, h.grid_y, mask.astype(float))
+    h_norm = h.norm(s)
     if rectangles:
         kind = HybridKind.SS_H if ss_flavor == "haar" else HybridKind.SS
-        ss = hybrid_2d(h, kind, tuple(rectangles))
-        omega2_mask = ss.samples > c3 * h.norm(s)
+        ss = hybrid_2d(h, kind, rectangles, coefficients=h_coefficients)
+        omega2_mask = ss.samples > c3 * h_norm
     else:
         omega2_mask = np.zeros_like(mask)
     omega2 = GridFunction2D(h.grid_x, h.grid_y, omega2_mask.astype(float))
@@ -402,14 +409,31 @@ def build_exceptional_set(f1: GridFunction1D, f2: GridFunction1D,
     e_prime = GridFunction2D(h.grid_x, h.grid_y,
                              e_set.samples * (1.0 - enlarged.samples))
     return ExceptionalSet(omega1, omega2, omega, enlarged, e_set, e_prime,
-                          constants, mode)
+                          constants, mode, h_norm)
+
+
+def _covered(spans) -> int:
+    """Total length of the union of a nonempty set of integer spans [lo, hi)."""
+    spans = sorted(spans)
+    covered = 0
+    cur_lo, cur_hi = spans[0]
+    for lo, hi in spans[1:]:
+        if lo > cur_hi:
+            covered += cur_hi - cur_lo
+            cur_lo, cur_hi = lo, hi
+        else:
+            cur_hi = max(cur_hi, hi)
+    return covered + cur_hi - cur_lo
 
 
 def union_measure(rectangles: Iterable[DyadicRectangle]) -> Fraction:
-    """Exact measure of a union of dyadic rectangles (sweep over x slabs).
+    """Exact measure of a union of dyadic rectangles, by one sweep in x.
 
-    Endpoints are rescaled to integers at the finest scale involved, so the
-    sweep runs in pure integer arithmetic.
+    Endpoints are rescaled to integers at the finest scale involved.  The
+    sweep visits the x endpoints in order, keeping the y spans of the
+    rectangles over the current x slab in an active multiset, and adds each
+    slab's width times the length the active spans cover; it runs in pure
+    integer arithmetic.
     """
     rects = list(rectangles)
     if not rects:
@@ -423,23 +447,22 @@ def union_measure(rectangles: Iterable[DyadicRectangle]) -> Fraction:
         scale = unit >> (-iv.k)
         return iv.n * scale, (iv.n + 1) * scale
 
-    spans = [(span(r.x), span(r.y)) for r in rects]
-    xs = sorted({e for (x0, x1), _ in spans for e in (x0, x1)})
-    total = 0
-    for x0, x1 in zip(xs[:-1], xs[1:]):
-        slabs = sorted(sy for sx, sy in spans if sx[0] <= x0 and sx[1] >= x1)
-        if not slabs:
-            continue
-        covered = 0
-        cur_lo, cur_hi = slabs[0]
-        for lo, hi in slabs[1:]:
-            if lo > cur_hi:
-                covered += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-            else:
-                cur_hi = max(cur_hi, hi)
-        covered += cur_hi - cur_lo
-        total += (x1 - x0) * covered
+    events = []  # (x, +1 or -1, y span): a rectangle opens or closes at x
+    for r in rects:
+        (x0, x1), sy = span(r.x), span(r.y)
+        events += [(x0, 1, sy), (x1, -1, sy)]
+    events.sort()
+    active: dict[tuple[int, int], int] = {}  # y span -> rectangles over the slab
+    total, prev = 0, events[0][0]
+    for x, delta, sy in events:
+        if x > prev and active:
+            total += (x - prev) * _covered(active)
+        prev = x
+        count = active.get(sy, 0) + delta
+        if count:
+            active[sy] = count
+        else:
+            del active[sy]
     return Fraction(total, unit * unit)
 
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicInterval, Grid1D, GridFunction1D
+from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
+                     RectangleTable)
 from .errors import ConfigError, DomainError, ResolutionError
 
 __all__ = [
@@ -208,8 +209,8 @@ def haar_pyramid(f: GridFunction1D) -> dict[int, np.ndarray]:
     """Block sums of f over all dyadic cells: scale k -> array of sums over
     [n*2^k, (n+1)*2^k), n running over the box.  Basis of the fast Haar path."""
     g = f.grid
-    sums = block_sums(f.samples.astype(float) * math.ldexp(1.0, -g.res_exp), 0,
-                      g.box_exp + g.res_exp)
+    sums = block_sums(f.samples.astype(float, copy=False)
+                      * math.ldexp(1.0, -g.res_exp), 0, g.box_exp + g.res_exp)
     return {i - g.res_exp: s for i, s in enumerate(sums)}
 
 
@@ -221,8 +222,8 @@ def haar_pyramid_2d(h, k_min: tuple[int, int] | None = None
     area = math.ldexp(1.0, -(gx.res_exp + gy.res_exp))
     kx0, ky0 = (-gx.res_exp, -gy.res_exp) if k_min is None else (
         max(int(k_min[0]), -gx.res_exp), max(int(k_min[1]), -gy.res_exp))
-    rows = block_sums(h.samples.astype(float) * area, 0, gx.box_exp + gx.res_exp,
-                      kx0 + gx.res_exp)
+    rows = block_sums(h.samples.astype(float, copy=False) * area, 0,
+                      gx.box_exp + gx.res_exp, kx0 + gx.res_exp)
     return {(kx0 + i, ky0 + j): s
             for i, row in enumerate(rows)
             for j, s in enumerate(block_sums(row, 1, gy.box_exp + gy.res_exp,
@@ -299,18 +300,29 @@ def _stacked_members(family: CutoffFamily, grid: Grid1D, k: int,
                      for n in positions])
 
 
-def all_coefficients_2d(h, groups: Mapping[tuple[int, int], tuple],
+def _scale_slices(ks: np.ndarray) -> dict[int, slice]:
+    """Each scale of a sorted scale array, mapped to its run of entries."""
+    scales, first = np.unique(ks, return_index=True)
+    ends = np.append(first[1:], ks.size)
+    return {int(k): slice(int(a), int(b)) for k, a, b in zip(scales, first, ends)}
+
+
+def all_coefficients_2d(h, rectangles: RectangleTable | Sequence[DyadicRectangle],
                         family_x: CutoffFamily,
                         family_y: CutoffFamily) -> np.ndarray:
     """<h, member_I tensor member_J> for every rectangle I x J, in rectangle order.
 
-    groups is dyadic.shape_groups of the rectangle list.  Haar x Haar is exact:
-    each shape is gathered from one 2D block-sum pyramid.  Any other pair is
-    the direct quadrature (Mx h My^T)[nx, ny] of each shape, with the members
-    of a scale stacked as the rows of Mx and My (cell widths included) and h
-    contracted once per x scale.
+    rectangles is a dyadic.RectangleTable, or a rectangle sequence that is
+    turned into one; the kernels run one shape of its groups at a time.  Haar
+    x Haar is exact: each shape is gathered from one 2D block-sum pyramid.
+    Any other pair is the direct quadrature (Mx h My^T)[I, J] of each shape,
+    with the members on the table's distinct intervals of a scale stacked as
+    the rows of Mx and My (cell widths included) and h contracted once per x
+    scale.
     """
-    out = np.zeros(sum(idx.size for idx, _, _ in groups.values()))
+    table = RectangleTable.of(rectangles)
+    groups = table.groups
+    out = np.zeros(len(table))
     if not groups:
         return out
     if family_x.haar and family_y.haar:
@@ -320,15 +332,13 @@ def all_coefficients_2d(h, groups: Mapping[tuple[int, int], tuple],
             out[idx] = haar_gather_2d(pyr, s, nx, ny, family_x.lacunary,
                                       family_y.lacunary)
         return out
-    ux, uy = {}, {}  # scale -> sorted positions of the intervals used, per axis
-    for (kx, ky), (_, nx, ny) in groups.items():
-        ux[kx] = np.union1d(ux.get(kx, nx), nx)
-        uy[ky] = np.union1d(uy.get(ky, ny), ny)
-    my = {ky: _stacked_members(family_y, h.grid_y, ky, n) for ky, n in uy.items()}
-    for kx, nxs in ux.items():
-        part = _stacked_members(family_x, h.grid_x, kx, nxs) @ h.samples
-        for (sx, ky), (idx, nx, ny) in groups.items():
-            if sx == kx:
-                out[idx] = (part @ my[ky].T)[np.searchsorted(nxs, nx),
-                                             np.searchsorted(uy[ky], ny)]
+    ys = _scale_slices(table.y_k)
+    my = {ky: _stacked_members(family_y, h.grid_y, ky, table.y_n[sy])
+          for ky, sy in ys.items()}
+    for kx, sx in _scale_slices(table.x_k).items():
+        part = _stacked_members(family_x, h.grid_x, kx, table.x_n[sx]) @ h.samples
+        for (shape_kx, ky), (idx, _, _) in groups.items():
+            if shape_kx == kx:
+                out[idx] = (part @ my[ky].T)[table.x_inverse[idx] - sx.start,
+                                             table.y_inverse[idx] - ys[ky].start]
     return out

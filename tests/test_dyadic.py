@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dyadlab.dyadic import (DyadicInterval, DyadicRectangle, Grid1D,
-                            GridFunction1D, GridFunction2D, _level_below,
-                            contains, disjoint, enumerate_dyadic,
+                            GridFunction1D, GridFunction2D, RectangleTable,
+                            _level_below, contains, disjoint, enumerate_dyadic,
                             measure_intersection, tensor)
 from dyadlab.errors import ConfigError, DomainError, ResolutionError
 
@@ -189,3 +189,86 @@ def test_level_below_two_factors_reads_the_float_product(num, c, w):
     """With c * w a normal float, the level against the factors c and w is
     the level against their float product: c 2^n w < num as it is written."""
     assert _level_below(num, c, w) == _level_below_reference(num, c * w)
+
+
+def _full_rectangles_reference(gx, gy, k_min):
+    """The full rectangle list, built as DyadicRectangle objects: I outer."""
+    xs = enumerate_dyadic(gx, k_min, gx.box_exp)
+    ys = enumerate_dyadic(gy, k_min, gy.box_exp)
+    return [DyadicRectangle(i, j) for i in xs for j in ys]
+
+
+def _shape_groups_reference(rectangles):
+    """shape -> (idx, nx, ny), grouped per rectangle in plain Python."""
+    groups = {}
+    for i, r in enumerate(rectangles):
+        groups.setdefault((r.x.k, r.y.k), []).append((i, r.x.n, r.y.n))
+    return {s: tuple(np.array(c, dtype=np.int64) for c in zip(*groups[s]))
+            for s in sorted(groups)}
+
+
+def _assert_table_reads_as(table, rects):
+    """The table's arrays, groups and distinct intervals against the list."""
+    assert len(table) == len(rects)
+    for arr, col in ((table.kx, [r.x.k for r in rects]),
+                     (table.nx, [r.x.n for r in rects]),
+                     (table.ky, [r.y.k for r in rects]),
+                     (table.ny, [r.y.n for r in rects])):
+        assert arr.dtype == np.int64 and arr.tolist() == col
+    ref = _shape_groups_reference(rects)
+    assert list(table.groups) == list(ref)
+    for s, (idx, nx, ny) in table.groups.items():
+        for got, want in zip((idx, nx, ny), ref[s]):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+    xs, ys = table.x_intervals(), table.y_intervals()
+    assert xs == sorted({r.x for r in rects}) and ys == sorted({r.y for r in rects})
+    assert [xs[a] for a in table.x_inverse.tolist()] == [r.x for r in rects]
+    assert [ys[b] for b in table.y_inverse.tolist()] == [r.y for r in rects]
+
+
+@pytest.mark.parametrize("gx,gy,k_min", [
+    (Grid1D(1, 6), Grid1D(1, 6), -4),   # the weak-type shape, smaller
+    (Grid1D(0, 3), Grid1D(2, 3), -2),   # boxes of different sizes
+    (Grid1D(1, 4), Grid1D(1, 4), 1),    # the box scale alone
+    (Grid1D(2, 2), Grid1D(0, 5), 0)])
+def test_full_table_matches_the_rectangle_list(gx, gy, k_min):
+    rects = _full_rectangles_reference(gx, gy, k_min)
+    full = RectangleTable.full(gx, gy, k_min)
+    _assert_table_reads_as(full, rects)
+    built = RectangleTable.of(rects)
+    assert full == built and hash(full) == hash(built)
+    for a, b in zip((full.x_k, full.x_n, full.x_inverse, full.y_k, full.y_n,
+                     full.y_inverse), (built.x_k, built.x_n, built.x_inverse,
+                                       built.y_k, built.y_n, built.y_inverse)):
+        assert np.array_equal(a, b)
+
+
+def test_enumerate_dyadic_order():
+    g = Grid1D(1, 3)
+    assert enumerate_dyadic(g, -1, 5) == [
+        DyadicInterval(k, n) for k in (1, 0, -1) for n in range(2 ** (1 - k))]
+    assert enumerate_dyadic(g, 2, 5) == []
+    with pytest.raises(ValueError):
+        enumerate_dyadic(g, 1, 0)
+
+
+_POOL = _full_rectangles_reference(Grid1D(1, 3), Grid1D(0, 3), -3)
+
+
+@given(st.lists(st.integers(0, len(_POOL) - 1), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_table_of_a_list_with_repeats(picks):
+    """Any order, repeats included: the table reads as the list it came from."""
+    rects = [_POOL[i] for i in picks]
+    table = RectangleTable.of(rects)
+    _assert_table_reads_as(table, rects)
+    assert RectangleTable.of(table) is table
+    assert list(table) == rects
+    for i in range(-len(rects), len(rects)):
+        assert table[i] == rects[i]
+    for sl in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2)):
+        assert table[sl] == tuple(rects[sl])
+    with pytest.raises(IndexError):
+        table[len(rects)]
+    assert (rects[0] in table) if rects else (_POOL[0] not in table)
+    assert table.kx.flags.writeable is False

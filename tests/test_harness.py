@@ -4,10 +4,12 @@ import io
 import numpy as np
 import pytest
 
+from dyadlab import dyadic, harness, stopping, wavelets
 from dyadlab.cli import main as cli_main
 from dyadlab.dyadic import Grid1D
 from dyadlab.errors import ConfigError
-from dyadlab.harness import (ExperimentConfig, estimate_weak_type_constant,
+from dyadlab.harness import (ExperimentConfig, _random_h,
+                             estimate_weak_type_constant,
                              generate_test_functions, model_spec_from_config,
                              run, weak_type_trial)
 
@@ -209,3 +211,92 @@ def test_cli_invariants_pass(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
     assert out.startswith("kind: invariants\n")
     assert out.index("config_sha256: ") < out.index("[PASS]")
+
+
+def _random_h_reference(rng, gx, gy, bandwidth=12):
+    """h drawn as before: the full spectrum, then one ifft2."""
+    nx, ny = gx.n_points, gy.n_points
+    bw = min(bandwidth, nx // 2 - 1, ny // 2 - 1)
+    coeffs = ((rng.standard_normal((2 * bw + 1, 2 * bw + 1))
+               + 1j * rng.standard_normal((2 * bw + 1, 2 * bw + 1)))
+              / (1.0 + np.abs(np.arange(-bw, bw + 1))[:, None]
+                 + np.abs(np.arange(-bw, bw + 1))[None, :]))
+    spec = np.zeros((nx, ny), dtype=complex)
+    for i, m1 in enumerate(range(-bw, bw + 1)):
+        for j, m2 in enumerate(range(-bw, bw + 1)):
+            spec[m1 % nx, m2 % ny] += coeffs[i, j]
+            spec[(-m1) % nx, (-m2) % ny] += np.conj(coeffs[i, j])
+    return np.fft.ifft2(spec).real * nx * ny / (2 * bw + 1.0) ** 2
+
+
+@pytest.mark.parametrize("gx,gy", [(Grid1D(1, 6), Grid1D(1, 6)),
+                                   (Grid1D(1, 7), Grid1D(1, 7)),
+                                   (Grid1D(1, 10), Grid1D(1, 10)),
+                                   (Grid1D(0, 6), Grid1D(1, 7)),
+                                   (Grid1D(0, 3), Grid1D(0, 5))])
+def test_random_h_band_fft_equals_ifft2(gx, gy):
+    got = _random_h(harness._rng(7), gx, gy).samples
+    assert np.array_equal(got, _random_h_reference(harness._rng(7), gx, gy))
+
+
+def _capture_exceptional_sets(monkeypatch):
+    """Keep the arguments and the result of each build_exceptional_set call
+    that weak_type_trial makes."""
+    calls = []
+
+    def capture(*args, **kwargs):
+        exc = stopping.build_exceptional_set(*args, **kwargs)
+        calls.append((args, kwargs, exc))
+        return exc
+
+    monkeypatch.setattr(harness, "build_exceptional_set", capture)
+    return calls
+
+
+def test_weak_type_record_counts_the_exceptional_set(monkeypatch):
+    """At c = 2 on (7,4) Omega is nonempty and Enl(Omega) leaves part of the
+    box; the record's cell counts are those of the masks, and the ratio's
+    ||h||_s is the one the Omega2 threshold used."""
+    calls = _capture_exceptional_sets(monkeypatch)
+    cfg = ExperimentConfig(kind="weak_type_sweep", box_exp=1, res_exp=7, depth=4,
+                           trials=1, seed=0, c1=2.0, c2=2.0, c3=2.0)
+    rec = weak_type_trial(cfg, 2, 7, 4)
+    (args, kwargs, exc), = calls
+    counts = {k: int(np.count_nonzero(getattr(exc, k).samples))
+              for k in ("omega1", "omega2", "enlarged")}
+    assert {k: rec[f"{k}_cells"] for k in counts} == counts
+    assert all(type(rec[f"{k}_cells"]) is int for k in counts)
+    assert 0 < counts["omega1"] and 0 < counts["enlarged"] < 256 ** 2
+    h = args[4]
+    assert exc.h_norm == h.norm(cfg.s) and kwargs["s"] == cfg.s
+    w, exps = kwargs["weights"], cfg.exponents()
+    denom = (w[0] ** (1 / exps.p1) * w[2] ** (1 / exps.p2) * w[1] ** (1 / exps.q1)
+             * w[3] ** (1 / exps.q2) * h.norm(cfg.s)
+             * rec["e_measure"] ** exps.r_conjugate_reciprocal)
+    assert rec["lam"] != 0.0 and rec["ratio"] == abs(rec["lam"]) / denom
+
+
+def test_weak_type_trial_builds_h_pyramid_once(monkeypatch):
+    """An (8,5) trial builds two Haar pyramids, h's once for SS_H and the
+    form and the dual's once, and no DyadicRectangle object."""
+    built = {"pyramids": 0, "rectangles": 0}
+    pyramid = wavelets.haar_pyramid_2d
+    init = dyadic.DyadicRectangle.__init__
+
+    def counting_pyramid(*args, **kwargs):
+        built["pyramids"] += 1
+        return pyramid(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        built["rectangles"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(wavelets, "haar_pyramid_2d", counting_pyramid)
+    monkeypatch.setattr(dyadic.DyadicRectangle, "__init__", counting_init)
+    cfg = ExperimentConfig(kind="weak_type_sweep", box_exp=1, res_exp=8, depth=5,
+                           trials=1, seed=0)
+    rec = weak_type_trial(cfg, 4, 8, 5)
+    assert built == {"pyramids": 2, "rectangles": 0}
+    assert rec["n_rectangles"] == (2 ** (1 + 5 + 1) - 1) ** 2
+    dyadic.DyadicRectangle(dyadic.DyadicInterval(0, 0), dyadic.DyadicInterval(0, 0))
+    assert built["rectangles"] == 1  # the counter sees constructions

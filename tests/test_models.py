@@ -1,18 +1,24 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyadlab import models
 from dyadlab.dyadic import (DyadicInterval, DyadicRectangle, Grid1D,
-                            GridFunction1D, GridFunction2D, enumerate_dyadic)
+                            GridFunction1D, GridFunction2D, RectangleTable,
+                            enumerate_dyadic)
 from dyadlab.errors import ConfigError
 from dyadlab.models import (BilinearBlockSpec, MODEL_NAMES, ModelOperatorSpec,
                             bilinear_block, energy_localization_check,
                             local_size_bound_check, model_operator,
                             multilinear_form, oracle_model_operator)
+from dyadlab.operators import HybridKind, hybrid_2d
+from dyadlab.stopping import level_set_decomposition_2d
 from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
-                              SMOOTH_NONLACUNARY, coefficient_naive)
+                              SMOOTH_NONLACUNARY, all_coefficients_2d,
+                              coefficient_naive)
 
 G = Grid1D(0, 6)
 UNIT = DyadicInterval(0, 0)
@@ -316,3 +322,100 @@ def test_multilinearity_in_each_slot():
         rhs = (model_operator(spec, *fs, h).samples
                + 2.0 * model_operator(spec, *alt, h).samples)
         assert np.max(np.abs(lhs - rhs)) <= 1e-11
+
+
+def _weights_reference(spec, f1, f2, g1, g2):
+    """Rectangle weights and h families by per-rectangle dict lookups, as
+    before the table's inverse indices."""
+    rects = list(spec.rectangles)
+    xs, ys = sorted({r.x for r in rects}), sorted({r.y for r in rects})
+    bx = models._x_coefficients(spec, xs, f1, f2)
+    y_factor, norm_y, h_y, out_y = models._y_coefficients(spec, ys, g1, g2)
+    x_factor = {I: bx[I] / math.ldexp(1.0, I.k) ** 0.5 for I in xs}
+    w = (np.array([x_factor[r.x] for r in rects])
+         * np.array([y_factor[r.y] for r in rects])
+         * np.array([norm_y[r.y] for r in rects]))
+    return rects, xs, ys, w, h_y, out_y
+
+
+def _model_operator_reference(spec, f1, f2, g1, g2, h):
+    rects, xs, ys, w, h_y, out_y = _weights_reference(spec, f1, f2, g1, g2)
+    hc = all_coefficients_2d(h, rects, spec.x_outer[1], h_y)
+    row = {I: a for a, I in enumerate(xs)}
+    col = {J: b for b, J in enumerate(ys)}
+    c = np.zeros((len(xs), len(ys)))
+    np.add.at(c, ([row[r.x] for r in rects], [col[r.y] for r in rects]), w * hc)
+    x_members = np.array([spec.x_outer[2].member(I, h.grid_x) for I in xs])
+    y_members = np.array([out_y.member(J, h.grid_y) for J in ys])
+    return (x_members.T @ c) @ y_members
+
+
+def _multilinear_form_reference(spec, f1, f2, g1, g2, h, dual):
+    rects, _, _, w, h_y, out_y = _weights_reference(spec, f1, f2, g1, g2)
+    terms = w * all_coefficients_2d(h, rects, spec.x_outer[1], h_y)
+    terms *= all_coefficients_2d(dual, rects, spec.x_outer[2], out_y)
+    terms[w == 0.0] = 0.0
+    total = 0.0
+    for t in terms.tolist():
+        total += t
+    return total
+
+
+_SMALL = Grid1D(0, 4)
+_SMALL_POOL = [DyadicRectangle(i, j) for i in enumerate_dyadic(_SMALL, -2, 0)
+               for j in enumerate_dyadic(_SMALL, -3, 0)]
+
+
+@given(st.lists(st.integers(0, len(_SMALL_POOL) - 1), min_size=1, max_size=30),
+       st.sampled_from(MODEL_NAMES), st.sampled_from(["haar", "smooth"]),
+       st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_list_and_table_give_equal_results(picks, which, flavor, seed):
+    """hybrid_2d (every kind), model_operator, multilinear_form and
+    level_set_decomposition_2d give == results for a rectangle list, in any
+    order and with repeats, and for its table; model_operator and
+    multilinear_form also == the per-rectangle dict assembly."""
+    rects = [_SMALL_POOL[i] for i in picks]
+    table = RectangleTable.of(rects)
+    fs, h, rng = _random_inputs(seed, _SMALL)
+    dual = GridFunction2D(_SMALL, _SMALL,
+                          (rng.random((_SMALL.n_points,) * 2) < 0.7).astype(float))
+    for kind in HybridKind:
+        if kind in (HybridKind.M, HybridKind.S):
+            continue
+        assert np.array_equal(hybrid_2d(h, kind, rects).samples,
+                              hybrid_2d(h, kind, table).samples)
+    inner = tuple(enumerate_dyadic(_SMALL, -3, 0))
+    maker = ModelOperatorSpec.haar if flavor == "haar" else ModelOperatorSpec.smooth
+    from_list = maker(which, rects, inner, inner, sharp1=1, sharp2=0)
+    from_table = maker(which, table, inner, inner, sharp1=1, sharp2=0)
+    assert from_list == from_table and from_table.rectangles is table
+    out = model_operator(from_list, *fs, h).samples
+    assert np.array_equal(out, model_operator(from_table, *fs, h).samples)
+    assert np.array_equal(out, _model_operator_reference(from_list, *fs, h))
+    lam = multilinear_form(from_list, *fs, h, dual)
+    assert lam == multilinear_form(from_table, *fs, h, dual)
+    assert lam == _multilinear_form_reference(from_list, *fs, h, dual)
+    a = level_set_decomposition_2d(rects, h, dual, 1.0, 1.5)
+    b = level_set_decomposition_2d(table, h, dual, 1.0, 1.5)
+    assert a.buckets == b.buckets
+    assert sum(map(len, a.buckets.values())) == len(rects)
+
+
+@pytest.mark.parametrize("which", MODEL_NAMES)
+def test_given_h_coefficients_change_nothing(which):
+    """SS_H and the Haar form's h side read the same coefficients: handing
+    them over gives == results, and an array of the wrong length is refused."""
+    spec = _tiny_spec(which, "haar", seed=5)
+    fs, h, rng = _random_inputs(6)
+    dual = GridFunction2D(G, G, (rng.random((G.n_points,) * 2) < 0.5).astype(float))
+    hc = all_coefficients_2d(h, spec.rectangles, HAAR_LACUNARY, HAAR_LACUNARY)
+    lam = multilinear_form(spec, *fs, h, dual)
+    assert multilinear_form(spec, *fs, h, dual, h_coefficients=hc) == lam
+    ss = hybrid_2d(h, HybridKind.SS_H, spec.rectangles)
+    given_hc = hybrid_2d(h, HybridKind.SS_H, spec.rectangles, coefficients=hc)
+    assert np.array_equal(ss.samples, given_hc.samples)
+    with pytest.raises(ConfigError):
+        multilinear_form(spec, *fs, h, dual, h_coefficients=hc[1:])
+    with pytest.raises(ConfigError):
+        hybrid_2d(h, HybridKind.SS_H, spec.rectangles, coefficients=hc[1:])

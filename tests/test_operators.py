@@ -12,7 +12,7 @@ from dyadlab.operators import (HybridKind, estimate_operator_norm, hybrid_2d,
                                maximal_1d, maximal_function, maximal_function_2d,
                                square_1d)
 from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
-                              SMOOTH_NONLACUNARY)
+                              SMOOTH_NONLACUNARY, haar_pyramid, haar_pyramid_2d)
 
 
 def test_maximal_examples():
@@ -109,6 +109,21 @@ def test_mm_bounded_by_sup():
             for j in enumerate_dyadic(g, -2, 1)]
     mm = hybrid_2d(h, HybridKind.MM, rect)
     assert float(np.max(mm.samples)) <= h.norm(np.inf) + 1e-12
+
+
+def test_grid_kernels_leave_their_input_alone():
+    """The maximal functions and the Haar pyramids read float samples without
+    copying them, and never write into them."""
+    g = Grid1D(1, 4)
+    rng = np.random.default_rng(3)
+    a = rng.random((g.n_points, g.n_points))  # >= 0: abs would be a no-op
+    h = GridFunction2D(g, g, a.copy())
+    f = GridFunction1D(g, a[0].copy())
+    maximal_function_2d(h)
+    maximal_function(f)
+    haar_pyramid_2d(h)
+    haar_pyramid(f)
+    assert np.array_equal(h.samples, a) and np.array_equal(f.samples, a[0])
 
 
 def test_bessel_haar_double_square():

@@ -11,7 +11,7 @@ from dyadlab.dyadic import (DyadicInterval, DyadicRectangle, Grid1D,
                             _times_pow2, enumerate_dyadic, measure_intersection)
 from dyadlab.errors import ConfigError, DomainError, ResolutionError
 from dyadlab.harness import generate_test_functions
-from dyadlab.operators import maximal_function
+from dyadlab.operators import HybridKind, hybrid_2d, maximal_function
 from dyadlab.stopping import (LevelSetDecomposition1D, build_exceptional_set,
                               check_index_observation_I,
                               check_index_observation_II,
@@ -20,7 +20,7 @@ from dyadlab.stopping import (LevelSetDecomposition1D, build_exceptional_set,
                               sparsity_check_2d, tensor_decomposition_I,
                               tensor_decomposition_II, union_measure,
                               _pair_union)
-from dyadlab.wavelets import CoefficientSequence
+from dyadlab.wavelets import CoefficientSequence, HAAR_LACUNARY, all_coefficients_2d
 
 G = Grid1D(1, 7)  # box [0,2)
 UNIT = DyadicInterval(0, 0)
@@ -212,6 +212,34 @@ def test_omega_inside_enlargement():
     assert np.all(exc.e_prime.samples * exc.enlarged.samples == 0.0)
 
 
+@pytest.mark.parametrize("s", [1.5, 2.0])
+def test_exceptional_set_h_norm(s):
+    """h_norm is ||h||_s, the scale of the Omega2 threshold, with or without
+    rectangles; handing over h's SS_H coefficients changes no mask."""
+    funcs, weights = _indicator_inputs(45)
+    rng = np.random.default_rng(6)
+    h = GridFunction2D(G, G, rng.standard_normal((G.n_points, G.n_points)))
+    e_set = GridFunction2D(G, G, np.ones((G.n_points, G.n_points)))
+    ivs = enumerate_dyadic(G, -3, 1)
+    rect = [DyadicRectangle(i, j) for i in ivs for j in ivs]
+    exc = build_exceptional_set(*funcs, h, e_set, (2.0, 2.0, 0.05), "fixed_scale",
+                                rectangles=rect, weights=weights, s=s)
+    assert exc.h_norm == h.norm(s)
+    ss = hybrid_2d(h, HybridKind.SS_H, rect).samples
+    assert np.array_equal(exc.omega2.samples != 0, ss > 0.05 * h.norm(s))
+    assert 0 < np.count_nonzero(exc.omega2.samples) < h.samples.size
+    hc = all_coefficients_2d(h, rect, HAAR_LACUNARY, HAAR_LACUNARY)
+    given_hc = build_exceptional_set(*funcs, h, e_set, (2.0, 2.0, 0.05),
+                                     "fixed_scale", rectangles=rect,
+                                     weights=weights, s=s, h_coefficients=hc)
+    for k in ("omega1", "omega2", "omega", "enlarged", "e_prime"):
+        assert np.array_equal(getattr(exc, k).samples, getattr(given_hc, k).samples)
+    assert given_hc.h_norm == exc.h_norm
+    bare = build_exceptional_set(*funcs, h, e_set, (2.0, 2.0, 0.05), "fixed_scale",
+                                 weights=weights, s=s)
+    assert bare.h_norm == h.norm(s) and not bare.omega2.samples.any()
+
+
 def test_exceptional_set_linf_modes():
     funcs, weights = _indicator_inputs(44)
     rng = np.random.default_rng(5)
@@ -252,6 +280,65 @@ def test_union_measure():
     r3 = DyadicRectangle(DyadicInterval(0, 1), UNIT)
     assert union_measure([r1, r3]) == 2  # disjoint
     assert union_measure([]) == 0
+
+
+def _union_measure_reference(rectangles):
+    """The slab loop that rescans every rectangle for each x slab."""
+    rects = list(rectangles)
+    if not rects:
+        return Fraction(0)
+    unit = 2 ** max(0, max(max(-r.x.k, -r.y.k) for r in rects))
+
+    def span(iv):
+        if iv.k >= 0:
+            return iv.n * (2 ** iv.k) * unit, (iv.n + 1) * (2 ** iv.k) * unit
+        return iv.n * (unit >> -iv.k), (iv.n + 1) * (unit >> -iv.k)
+
+    spans = [(span(r.x), span(r.y)) for r in rects]
+    xs = sorted({e for (x0, x1), _ in spans for e in (x0, x1)})
+    total = 0
+    for x0, x1 in zip(xs[:-1], xs[1:]):
+        slabs = sorted(sy for sx, sy in spans if sx[0] <= x0 and sx[1] >= x1)
+        if not slabs:
+            continue
+        covered = 0
+        cur_lo, cur_hi = slabs[0]
+        for lo, hi in slabs[1:]:
+            if lo > cur_hi:
+                covered += cur_hi - cur_lo
+                cur_lo, cur_hi = lo, hi
+            else:
+                cur_hi = max(cur_hi, hi)
+        covered += cur_hi - cur_lo
+        total += (x1 - x0) * covered
+    return Fraction(total, unit * unit)
+
+
+_RASTER = Grid1D(1, 3)  # 16 cells per axis
+
+
+@st.composite
+def _box_intervals(draw):
+    k = draw(st.integers(-_RASTER.res_exp, _RASTER.box_exp))
+    return DyadicInterval(k, draw(st.integers(0, 2 ** (_RASTER.box_exp - k) - 1)))
+
+
+_any_intervals = st.builds(DyadicInterval, st.integers(-5, 4), st.integers(-6, 9))
+
+
+@given(st.lists(st.builds(DyadicRectangle, _box_intervals(), _box_intervals()),
+                max_size=25),
+       st.lists(st.builds(DyadicRectangle, _any_intervals, _any_intervals),
+                max_size=25))
+@settings(max_examples=150, deadline=None)
+def test_union_measure_sweep_matches_slab_loop_and_raster(in_box, anywhere):
+    """The sweep is == to the slab loop on any dyadic rectangles, repeats and
+    negative positions included, and to a cell count inside a grid's box."""
+    raster = GridFunction2D.indicator(_RASTER, _RASTER, in_box).samples
+    cells = Fraction(int(np.count_nonzero(raster)), 4 ** _RASTER.res_exp)
+    assert union_measure(in_box) == _union_measure_reference(in_box) == cells
+    assert union_measure(anywhere) == _union_measure_reference(anywhere)
+    assert isinstance(union_measure(anywhere), Fraction)
 
 
 def test_sparsity_2d_single_and_one_level():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyadlab.dyadic import (DyadicInterval, DyadicRectangle, Grid1D,
-                            GridFunction1D, GridFunction2D, contains,
-                            enumerate_dyadic, shape_groups)
+                            GridFunction1D, GridFunction2D, RectangleTable,
+                            contains, enumerate_dyadic)
 from dyadlab.errors import ConfigError, DomainError, ResolutionError
 from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
                               SMOOTH_NONLACUNARY, CoefficientSequence,
@@ -250,7 +250,7 @@ def test_all_coefficients_2d_matches_quadrature(bx, rx, by, ry, families, seed):
              for i in enumerate_dyadic(gx, int(fx.lacunary) - rx, bx)
              for j in enumerate_dyadic(gy, int(fy.lacunary) - ry, by)]
     rects = [rects[int(i)] for i in rng.integers(0, len(rects), len(rects) + 3)]
-    got = all_coefficients_2d(h, shape_groups(rects), fx, fy)
+    got = all_coefficients_2d(h, RectangleTable.of(rects), fx, fy)
     assert got.shape == (len(rects),)
     for c, r in zip(got, rects):
         assert abs(c - _quadrature_2d(h, r, fx, fy)) <= 1e-12
@@ -258,6 +258,6 @@ def test_all_coefficients_2d_matches_quadrature(bx, rx, by, ry, families, seed):
 
 def test_all_coefficients_2d_empty():
     g = Grid1D(0, 2)
-    out = all_coefficients_2d(GridFunction2D.zeros(g, g), shape_groups([]),
+    out = all_coefficients_2d(GridFunction2D.zeros(g, g), RectangleTable.of([]),
                               SMOOTH_LACUNARY, SMOOTH_LACUNARY)
     assert out.shape == (0,)
