@@ -22,9 +22,12 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=32)
     parser.add_argument("--orders", type=float, nargs="+", default=[0.0, 1.0])
     args = parser.parse_args(argv)
+    if args.n < 4 or args.n & (args.n - 1):
+        parser.error(f"--n must be a power of two >= 4, got {args.n}")
+    res_exp = args.n.bit_length() - 1
 
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    g0 = Grid1D(0, int(math.log2(args.n)))
+    g0 = Grid1D(0, res_exp)
     fs = [GridFunction1D(g0, rng.standard_normal(args.n)) for _ in range(4)]
     h = GridFunction2D(g0, g0, rng.standard_normal((args.n, args.n)))
     exponents = ExponentTuple(4.0, 4.0, 4.0, 4.0, 4.0)
@@ -34,7 +37,7 @@ def main(argv=None) -> int:
         expected = 4.0 * order
         values = []
         for lam in (1, 2, 4):
-            g = Grid1D(0, int(math.log2(args.n * lam)))
+            g = Grid1D(0, (args.n * lam).bit_length() - 1)
             fs_l = [GridFunction1D(g, np.tile(f.samples, lam)) for f in fs]
             h_l = GridFunction2D(g, g, np.tile(h.samples, (lam, lam)))
             rep = leibniz_check((order, order), (order, order), exponents,

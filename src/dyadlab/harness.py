@@ -89,8 +89,8 @@ class ExperimentConfig:
             raise ConfigError("n_freq: must be a power of two >= 4")
         if self.model not in MODEL_NAMES:
             raise ConfigError(f"model: unknown model {self.model!r}")
-        if min(self.c1, self.c2, self.c3) < 1:
-            raise ConfigError("constants: need c1, c2, c3 >= 1")
+        if not all(math.isfinite(c) and c >= 1 for c in (self.c1, self.c2, self.c3)):
+            raise ConfigError("constants: need finite c1, c2, c3 >= 1")
         if self.depth < 1 or self.depth >= self.res_exp:
             raise ConfigError("depth: need 1 <= depth < res_exp")
         self.exponents()  # raises ConfigError on a bad tuple
@@ -523,7 +523,7 @@ def _run_sparsity(config: ExperimentConfig, report: RunReport) -> None:
 def _run_leibniz(config: ExperimentConfig, report: RunReport) -> None:
     master = np.random.SeedSequence(config.seed)
     n = config.n_freq
-    g = Grid1D(0, int(math.log2(n)))
+    g = Grid1D(0, n.bit_length() - 1)
     exps = config.exponents()
     worst = 0.0
     for i, trial_seed in enumerate(master.spawn(config.trials)):

@@ -14,7 +14,12 @@ y-side block or paraproduct coefficients against the y interval, and a 2D
 coefficient of h; the output is a linear combination of tensor members.
 A spec holds its rectangles as a dyadic.RectangleTable.  The block and
 paraproduct factors are computed once per distinct x or y interval of the
-table and gathered to the rectangles through its inverse indices.
+table and gathered to the rectangles through its inverse indices.  One
+per-scale path gives the block coefficients for every cutoff family: the
+global block of each inner scale is built once; the local block of an outer
+scale is the running sum of those blocks from the top scale down, the
+fixed-scale block the one at scale k + sharp; and each outer scale reads the
+coefficients of all its intervals from its one block.
 model_operator and multilinear_form take the 2D coefficients of every
 rectangle from wavelets.all_coefficients_2d; model_operator sums the terms
 as X^T C Y, multilinear_form pairs them with the dual's coefficients.
@@ -29,11 +34,11 @@ from typing import Sequence
 import numpy as np
 
 from .dyadic import (DyadicInterval, GridFunction1D, GridFunction2D,
-                     RectangleTable, contains)
+                     RectangleTable)
 from .errors import ConfigError
 from .size_energy import size
 from .wavelets import (CutoffFamily, CoefficientSequence, all_coefficients,
-                       all_coefficients_2d, coefficient_naive, haar_pyramid,
+                       all_coefficients_2d, coefficient_naive,
                        HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
                        SMOOTH_NONLACUNARY)
 
@@ -230,128 +235,72 @@ class ModelOperatorSpec:
                    y_para=smooth_outer)
 
 
-def _block_coefficient(spec: ModelOperatorSpec, axis: str,
-                       interval: DyadicInterval, v1: GridFunction1D,
-                       v2: GridFunction1D, cache: dict) -> float:
-    """<B_{.,I}(v1, v2), m1_I> with the block shared across equal scales."""
-    bspec = spec.x_block_spec(interval) if axis == "x" else spec.y_block_spec(interval)
-    key = (axis, interval.k)
-    if key not in cache:
-        cache[key] = bilinear_block(bspec, v1, v2)
-    outer = spec.x_outer[0] if axis == "x" else spec.y_outer[0]
-    return coefficient_naive(cache[key], interval, outer)
+def _block_coefficients(spec: ModelOperatorSpec, axis: str,
+                        intervals: Sequence[DyadicInterval],
+                        v1: GridFunction1D, v2: GridFunction1D) -> np.ndarray:
+    """<B_{.,I}(v1, v2), m1_I> for each interval I of one axis, in order.
 
-
-def _axis_all_haar(spec: ModelOperatorSpec, axis: str) -> bool:
-    if axis == "x":
-        fams = spec.inner_x_families + spec.x_outer
-    elif spec.paraproduct_y:
-        fams = spec.y_para
-    else:
-        fams = spec.inner_y_families + spec.y_outer
-    return all(f.haar for f in fams)
-
-
-def _haar_block_outer_coeffs(inner: Sequence[DyadicInterval], families,
-                             outer_intervals: Sequence[DyadicInterval],
-                             v1: GridFunction1D, v2: GridFunction1D,
-                             mode: str, sharp: int = 0
-                             ) -> dict[DyadicInterval, float]:
-    """All <B_{.,I}(v1, v2), ind_I> for Haar families, via per-scale assembly.
-
-    Same-scale members have disjoint supports, so each scale's contribution to
-    the block is assembled in one pass; the 'local' cutoff |Q| >= |I| is a
-    cumulative sum over scales.
+    The block of an inner scale k is the global block over the inner
+    intervals of scale k, built once.  B_{.,I} is the block at scale
+    k_I + sharp (fixed_scale), or the running sum of the blocks from the top
+    scale down to k_I (local); only those scales are built.  Each outer
+    scale reads the coefficients of all its intervals from its one block.
     """
-    grid = v1.grid
-    inner = tuple(inner)
-    c1 = all_coefficients(v1, inner, families[0])
-    c2 = all_coefficients(v2, inner, families[1])
-    contrib: dict[int, np.ndarray] = {}
-    for q in inner:
-        w = c1[q] * c2[q] / math.ldexp(1.0, q.k) ** 0.5
-        if w == 0.0:
-            continue
-        arr = contrib.setdefault(q.k, np.zeros(grid.n_points))
-        a, b = grid.cell_range(q)
-        amp = 2.0 ** (-q.k / 2.0)
-        if families[2].lacunary:
-            mid = (a + b) // 2
-            arr[a:mid] += w * amp
-            arr[mid:b] -= w * amp
-        else:
-            arr[a:b] += w * amp
-
-    outer_scales = sorted({i.k for i in outer_intervals})
-    needed: dict[int, np.ndarray] = {}
-    if mode == "fixed_scale":
-        for s in outer_scales:
-            needed[s] = contrib.get(s + sharp, np.zeros(grid.n_points))
+    if axis == "x":
+        inner, families, outer = spec.inner_x, spec.inner_x_families, spec.x_outer[0]
+        fixed, sharp = spec.x_fixed_scale, spec.sharp1
     else:
-        running = np.zeros(grid.n_points)
-        top = max(contrib) if contrib else (outer_scales[0] if outer_scales else 0)
-        k = max([top] + outer_scales)
-        idx = len(outer_scales) - 1
-        while idx >= 0:
-            while k >= outer_scales[idx]:
-                if k in contrib:
-                    running = running + contrib[k]
-                k -= 1
-            needed[outer_scales[idx]] = running.copy()
-            idx -= 1
+        inner, families, outer = spec.inner_y, spec.inner_y_families, spec.y_outer[0]
+        fixed, sharp = spec.y_fixed_scale, spec.sharp2
 
-    out: dict[DyadicInterval, float] = {}
-    for s in outer_scales:
-        pyr = haar_pyramid(GridFunction1D(grid, needed[s]))
-        amp = 2.0 ** (-s / 2.0)
-        for iv in outer_intervals:
-            if iv.k == s:
-                out[iv] = amp * float(pyr[s][iv.n])
+    def scale_block(k: int) -> np.ndarray:
+        qs = tuple(q for q in inner if q.k == k)
+        return bilinear_block(BilinearBlockSpec(qs, families), v1, v2).samples
+
+    ks = np.array([I.k for I in intervals])
+    out = np.zeros(len(intervals))
+    inner_scales = sorted({q.k for q in inner}, reverse=True)
+    block = np.zeros(v1.grid.n_points)
+    for s in sorted(set(ks.tolist()), reverse=True):
+        if fixed:
+            block = scale_block(s + sharp)
+        else:
+            while inner_scales and inner_scales[0] >= s:
+                block = block + scale_block(inner_scales.pop(0))
+        at = np.flatnonzero(ks == s).tolist()
+        coeffs = all_coefficients(GridFunction1D(v1.grid, block),
+                                  [intervals[i] for i in at], outer)
+        out[at] = [coeffs[intervals[i]] for i in at]
     return out
 
 
-def _x_coefficients(spec: ModelOperatorSpec, xs: Sequence[DyadicInterval],
-                    f1: GridFunction1D, f2: GridFunction1D
-                    ) -> dict[DyadicInterval, float]:
-    if _axis_all_haar(spec, "x"):
-        mode = "fixed_scale" if spec.x_fixed_scale else "local"
-        return _haar_block_outer_coeffs(spec.inner_x, spec.inner_x_families,
-                                        xs, f1, f2, mode, spec.sharp1)
-    cache: dict = {}
-    return {I: _block_coefficient(spec, "x", I, f1, f2, cache) for I in xs}
+def _rectangle_weights(spec: ModelOperatorSpec, f1, f2, g1, g2):
+    """Each rectangle's weight (b_I / |I|^{1/2}) y_J n_J, in rectangle order;
+    the table's distinct x and y intervals, sorted; the y side's
+    h-coefficient and output families.
 
-
-def _y_coefficients(spec: ModelOperatorSpec, ys: Sequence[DyadicInterval],
-                    g1: GridFunction1D, g2: GridFunction1D):
+    b_I and, for the flag-type models, y_J are the block coefficients of
+    _block_coefficients, with n_J = |J|^{-1/2}; for the paraproduct models
+    y_J is the product of the g1 and g2 coefficients and n_J = |J|^{-1}.
+    Each factor is computed once per distinct interval and gathered to the
+    rectangles through the table's inverse indices.
+    """
+    table = spec.rectangles
+    xs, ys = table.x_intervals(), table.y_intervals()
+    x_factor = (_block_coefficients(spec, "x", xs, f1, f2)
+                / np.array([math.ldexp(1.0, I.k) ** 0.5 for I in xs]))
     if spec.paraproduct_y:
         g1c = all_coefficients(g1, ys, spec.y_para[0])
         g2c = all_coefficients(g2, ys, spec.y_para[1])
-        y_factor = {J: g1c[J] * g2c[J] for J in ys}
-        norm_y = {J: 1.0 / math.ldexp(1.0, J.k) for J in ys}
-        return y_factor, norm_y, spec.y_para[1], spec.y_para[2]
-    if _axis_all_haar(spec, "y"):
-        mode = "fixed_scale" if spec.y_fixed_scale else "local"
-        by = _haar_block_outer_coeffs(spec.inner_y, spec.inner_y_families,
-                                      ys, g1, g2, mode, spec.sharp2)
+        y_factor = np.array([g1c[J] * g2c[J] for J in ys])
+        norm_y = 1.0 / np.array([math.ldexp(1.0, J.k) for J in ys])
+        h_y_family, out_y_family = spec.y_para[1], spec.y_para[2]
     else:
-        cache: dict = {}
-        by = {J: _block_coefficient(spec, "y", J, g1, g2, cache) for J in ys}
-    norm_y = {J: 1.0 / math.ldexp(1.0, J.k) ** 0.5 for J in ys}
-    return by, norm_y, spec.y_outer[1], spec.y_outer[2]
-
-
-def _rectangle_weights(spec: ModelOperatorSpec, f1, f2, g1, g2):
-    """Each rectangle's weight (b_I / |I|^{1/2}) y_J n_J, in rectangle order,
-    gathered from the factors of the table's distinct x and y intervals; those
-    intervals, sorted; the y side's h-coefficient and output families."""
-    table = spec.rectangles
-    xs, ys = table.x_intervals(), table.y_intervals()
-    bx = _x_coefficients(spec, xs, f1, f2)
-    y_factor, norm_y, h_y_family, out_y_family = _y_coefficients(spec, ys, g1, g2)
-    x_factor = np.array([bx[I] / math.ldexp(1.0, I.k) ** 0.5 for I in xs])
-    w = (x_factor[table.x_inverse]
-         * np.array([y_factor[J] for J in ys])[table.y_inverse]
-         * np.array([norm_y[J] for J in ys])[table.y_inverse])
+        y_factor = _block_coefficients(spec, "y", ys, g1, g2)
+        norm_y = 1.0 / np.array([math.ldexp(1.0, J.k) ** 0.5 for J in ys])
+        h_y_family, out_y_family = spec.y_outer[1], spec.y_outer[2]
+    w = (x_factor[table.x_inverse] * y_factor[table.y_inverse]
+         * norm_y[table.y_inverse])
     return w, xs, ys, h_y_family, out_y_family
 
 
@@ -474,7 +423,6 @@ def local_size_bound_check(block_spec: BilinearBlockSpec, v1: GridFunction1D,
             raise ConfigError(f"{p} does not meet the level set")
     grid = v1.grid
     outer_family = HAAR_NONLACUNARY if block_spec.families[2].haar else SMOOTH_NONLACUNARY
-    from .wavelets import CoefficientSequence
     data = {}
     for p in outer:
         bspec = replace(block_spec, reference=p)

@@ -101,7 +101,7 @@ def _sym_freqs(n: int) -> np.ndarray:
 
 def usable_bands(n: int) -> list[int]:
     """Annulus scales whose support meets a nonzero frequency of the grid."""
-    top = int(math.log2(n // 2)) if n >= 4 else 0
+    top = (n // 2).bit_length() - 1 if n >= 4 else 0
     return list(range(0, top + 1))
 
 
@@ -225,16 +225,18 @@ def _band_window(t: str, k: int, xs: np.ndarray) -> np.ndarray:
     return psi_hat_band(xs, k) if t == "psi" else phi_hat_band(xs, k)
 
 
-def _completion_windows(k1: int, k2: int, xs: np.ndarray):
-    """Fixed completion windows for the scale pair (k1 << k2).
+def _completion_windows(k2: int, xs: np.ndarray):
+    """Fixed completion windows for a scale pair (k1 << k2): comp1 is the
+    k2-scale low-pass with plateau 2^{k2-1}, psi3 a widened annulus equal to
+    1 on [2^{k2-2}, 2^{k2+2}].
 
-    comp3 plateaus past the support of the k1-factors' sum, comp1 is the
-    k2-scale low-pass with plateau 2^{k2-1}, psi3 a widened annulus equal to 1
-    on [2^{k2-2}, 2^{k2+2}].
+    The completion has no k1 window.  The banded k1 factors sit in
+    |xi| < 1.9 2^k1, so their frequency sum sits in |xi| < 3.8 2^k1, which
+    stays below N/2 (k1 <= log2(N) - 3) and so never wraps.  A low-pass
+    mother_phi_hat(xi / 2^{k1+2}) would equal 1 up to 6 2^k1 and change
+    nothing.
     """
-    comp3 = mother_phi_hat(xs / 2.0 ** (k1 + 2))
-    comp1 = mother_phi_hat(xs / 2.0 ** (k2 - 1))
-    return comp3, comp1, _widened_annulus(k2, xs)
+    return mother_phi_hat(xs / 2.0 ** (k2 - 1)), _widened_annulus(k2, xs)
 
 
 def _widened_annulus(k2: int, xs: np.ndarray) -> np.ndarray:
@@ -278,10 +280,11 @@ def _axis_pair_sum(a_types, pairs, u1h: np.ndarray, u2h: np.ndarray
     """T[m, c]: the completed symbol summed against the two input spectra
     along their frequency-sum diagonal a + b = m (mod N), pair by pair.
 
-    The symbol s[a, b, c] = sum over (k1, k2) of w1[a] w2[b] mid[a+b]
+    The symbol s[a, b, c] = sum over (k1, k2) of w1[a] w2[b] comp1[a+b]
     d[c] psi3[a+b+c] meets the inputs only through a + b, so each pair
-    contributes mid[m] conv[m] d[c] psi3[m+c], with conv the explicit cyclic
-    convolution of the banded spectra.
+    contributes comp1[m] conv[m] d[c] psi3[m+c], with conv the explicit
+    cyclic convolution of the banded spectra; conv vanishes outside
+    |m| < 3.8 2^k1 (see _completion_windows).
     """
     n = u1h.size
     xs = _sym_freqs(n).astype(float)
@@ -293,9 +296,9 @@ def _axis_pair_sum(a_types, pairs, u1h: np.ndarray, u2h: np.ndarray
         v1 = _band_window(a_types[0], k1, xs) * u1h
         v2 = _band_window(a_types[1], k1, xs) * u2h
         conv = v1 @ v2[diff]
-        comp3, comp1, psi3 = _completion_windows(k1, k2, xs)
+        comp1, psi3 = _completion_windows(k2, xs)
         d = psi_hat_band(xs, k2)
-        t += (comp3 * comp1 * conv)[:, None] * d[None, :] * psi3[sum2]
+        t += (comp1 * conv)[:, None] * d[None, :] * psi3[sum2]
     return t
 
 
@@ -376,11 +379,11 @@ def special_symbol_cascade(a: SymbolSpec, b: SymbolSpec, f1, f2, g1, g2, h
 
     Per axis and admissible scale pair (k1, k2), the two inputs are banded at
     k1 and multiplied, and the product is smoothed through the completion
-    low-pass windows.  These blocks are summed over k1, leaving one block per
-    top scale k2.  For each pair of top scales (k2 on x, j2 on y), the tensor
-    product of the two blocks meets the annulus piece of h at (k2, j2) and
-    goes through the widened-annulus window of (k2, j2); the results are
-    summed in frequency and transformed back once.
+    low-pass window comp1.  These blocks are summed over k1, leaving one
+    block per top scale k2.  For each pair of top scales (k2 on x, j2 on y),
+    the tensor product of the two blocks meets the annulus piece of h at
+    (k2, j2) and goes through the widened-annulus window of (k2, j2); the
+    results are summed in frequency and transformed back once.
 
     Summing over k1 first is exact, not an approximation: the h annulus and
     the widened annulus psi3 of a pair depend on its top scale alone, and
@@ -398,10 +401,10 @@ def special_symbol_cascade(a: SymbolSpec, b: SymbolSpec, f1, f2, g1, g2, h
         u2h = np.fft.fft(np.asarray(u2.samples, dtype=complex))
         blocks = {}
         for (k1, k2) in pairs:
-            comp3, comp1, _ = _completion_windows(k1, k2, xs)
+            comp1, _ = _completion_windows(k2, xs)
             p1 = np.fft.ifft(u1h * _band_window(types[0], k1, xs))
             p2 = np.fft.ifft(u2h * _band_window(types[1], k1, xs))
-            block = np.fft.ifft(np.fft.fft(p1 * p2) * (comp3 * comp1))
+            block = np.fft.ifft(np.fft.fft(p1 * p2) * comp1)
             blocks[k2] = blocks[k2] + block if k2 in blocks else block
         return blocks
 

@@ -163,8 +163,11 @@ def level_decomposition_1d(collection: Sequence[DyadicInterval],
     found one scale at a time, with one np.partition over the rows of the
     driver that hold the scale's intervals.  Buckets and bottom keep repeated
     intervals and are sorted; the first interval that is not a union of grid
-    cells inside the box raises ResolutionError or DomainError.
+    cells inside the box raises ResolutionError or DomainError, and a
+    non-finite constant or weight raises ConfigError.
     """
+    if not (math.isfinite(constant) and math.isfinite(weight)):
+        raise ConfigError("constant and weight must be finite")
     collection = tuple(collection)
     grid = driver.grid
     ks, ns = _interval_table(collection, grid)
@@ -349,8 +352,12 @@ def build_exceptional_set(f1: GridFunction1D, f2: GridFunction1D,
     Omega2 is the square-function level set {SS h > C3 ||h||_s} throughout,
     over the given rectangles; h_coefficients, when given, are h's rectangle
     coefficients for the SS kind's families, in rectangle order, and
-    hybrid_2d uses them instead of computing its own.
+    hybrid_2d uses them instead of computing its own.  Omega1, Omega2, Omega
+    and Enl(Omega) hold bool masks; E' keeps the values of E off Enl(Omega).
+    Non-finite constants raise ConfigError.
     """
+    if not all(math.isfinite(c) for c in constants):
+        raise ConfigError("constants must be finite")
     c1, c2, c3 = constants
     if e_set.integral() <= 0:
         raise ConfigError("E must have positive measure")
@@ -392,7 +399,7 @@ def build_exceptional_set(f1: GridFunction1D, f2: GridFunction1D,
     else:
         raise ConfigError(f"unknown exceptional-set mode {mode!r}")
 
-    omega1 = GridFunction2D(h.grid_x, h.grid_y, mask.astype(float))
+    omega1 = GridFunction2D(h.grid_x, h.grid_y, mask)
     h_norm = h.norm(s)
     if rectangles:
         kind = HybridKind.SS_H if ss_flavor == "haar" else HybridKind.SS
@@ -400,14 +407,12 @@ def build_exceptional_set(f1: GridFunction1D, f2: GridFunction1D,
         omega2_mask = ss.samples > c3 * h_norm
     else:
         omega2_mask = np.zeros_like(mask)
-    omega2 = GridFunction2D(h.grid_x, h.grid_y, omega2_mask.astype(float))
-    omega = GridFunction2D(h.grid_x, h.grid_y,
-                           (mask | omega2_mask).astype(float))
+    omega2 = GridFunction2D(h.grid_x, h.grid_y, omega2_mask)
+    omega = GridFunction2D(h.grid_x, h.grid_y, mask | omega2_mask)
     mm = maximal_function_2d(omega)
-    enlarged = GridFunction2D(h.grid_x, h.grid_y,
-                              (mm.samples > 0.01).astype(float))
+    enlarged = GridFunction2D(h.grid_x, h.grid_y, mm.samples > 0.01)
     e_prime = GridFunction2D(h.grid_x, h.grid_y,
-                             e_set.samples * (1.0 - enlarged.samples))
+                             np.where(enlarged.samples, 0.0, e_set.samples))
     return ExceptionalSet(omega1, omega2, omega, enlarged, e_set, e_prime,
                           constants, mode, h_norm)
 

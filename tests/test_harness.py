@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -194,6 +195,24 @@ def test_weak_type_below_res_exp_6_is_a_config_error(capsys):
     assert cli_main(["weaktype", "--grid-exp", "5", "--depth", "2",
                      "--trials", "1"]) == 2
     assert "res_exp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["c1", "c2", "c3"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_constants_are_config_errors(field, bad):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{field: bad}).validate()
+
+
+def test_cli_rejects_non_finite_constants_in_a_config_file(tmp_path, capsys):
+    """c1 = nan and c2 = inf used to run and print max_ratio: 0.0."""
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text("[grid]\nbox_exp = 0\nres_exp = 7\n[model]\ndepth = 4\n"
+                   "[constants]\nc1 = nan\nc2 = inf\n")
+    assert cli_main(["weaktype", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "constants" in captured.err and "Traceback" not in captured.err
+    assert "max_ratio" not in captured.out
 
 
 def test_cli_exit_codes(tmp_path, capsys):

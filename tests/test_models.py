@@ -17,8 +17,9 @@ from dyadlab.models import (BilinearBlockSpec, MODEL_NAMES, ModelOperatorSpec,
 from dyadlab.operators import HybridKind, hybrid_2d
 from dyadlab.stopping import level_set_decomposition_2d
 from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
-                              SMOOTH_NONLACUNARY, all_coefficients_2d,
-                              coefficient_naive)
+                              SMOOTH_NONLACUNARY, all_coefficients,
+                              all_coefficients_2d, coefficient_naive,
+                              haar_pyramid)
 
 G = Grid1D(0, 6)
 UNIT = DyadicInterval(0, 0)
@@ -138,6 +139,19 @@ def test_model_matches_oracle(which, flavor):
     a = model_operator(spec, *fs, h)
     b = oracle_model_operator(spec, *fs, h)
     assert np.max(np.abs(a.samples)) > 0  # non-vacuous comparison
+    assert np.max(np.abs(a.samples - b.samples)) <= 1e-12
+
+
+@pytest.mark.parametrize("which", ["flag_sharp_paraproduct", "flag0_flag_sharp",
+                                   "flag_sharp_flag_sharp"])
+@pytest.mark.parametrize("flavor", ["haar", "smooth"])
+def test_model_matches_oracle_with_unequal_offsets(which, flavor):
+    """sharp1 = 1 on x and sharp2 = 2 on y, as in the benchmark's models."""
+    spec = replace(_tiny_spec(which, flavor, seed=11), sharp2=2)
+    fs, h, _ = _random_inputs(4)
+    a = model_operator(spec, *fs, h)
+    b = oracle_model_operator(spec, *fs, h)
+    assert np.max(np.abs(a.samples)) > 0
     assert np.max(np.abs(a.samples - b.samples)) <= 1e-12
 
 
@@ -324,13 +338,129 @@ def test_multilinearity_in_each_slot():
         assert np.max(np.abs(lhs - rhs)) <= 1e-11
 
 
+def _haar_block_outer_coeffs_reference(inner, families, outer_intervals, v1, v2,
+                                       mode, sharp=0):
+    """All <B_{.,I}(v1, v2), ind_I> for Haar families by the scatter of each
+    inner member into its scale's array; the 'local' cutoff |Q| >= |I| is a
+    cumulative sum over scales, read through one Haar pyramid per scale."""
+    grid = v1.grid
+    c1 = all_coefficients(v1, inner, families[0])
+    c2 = all_coefficients(v2, inner, families[1])
+    contrib = {}
+    for q in inner:
+        w = c1[q] * c2[q] / math.ldexp(1.0, q.k) ** 0.5
+        if w == 0.0:
+            continue
+        arr = contrib.setdefault(q.k, np.zeros(grid.n_points))
+        a, b = grid.cell_range(q)
+        amp = 2.0 ** (-q.k / 2.0)
+        if families[2].lacunary:
+            mid = (a + b) // 2
+            arr[a:mid] += w * amp
+            arr[mid:b] -= w * amp
+        else:
+            arr[a:b] += w * amp
+    outer_scales = sorted({i.k for i in outer_intervals})
+    needed = {}
+    if mode == "fixed_scale":
+        for s in outer_scales:
+            needed[s] = contrib.get(s + sharp, np.zeros(grid.n_points))
+    else:
+        running = np.zeros(grid.n_points)
+        k = max(list(contrib) + outer_scales)
+        for s in reversed(outer_scales):
+            while k >= s:
+                if k in contrib:
+                    running = running + contrib[k]
+                k -= 1
+            needed[s] = running.copy()
+    out = {}
+    for s in outer_scales:
+        pyr = haar_pyramid(GridFunction1D(grid, needed[s]))
+        for iv in outer_intervals:
+            if iv.k == s:
+                out[iv] = 2.0 ** (-s / 2.0) * float(pyr[s][iv.n])
+    return out
+
+
+def _block_coefficient_reference(spec, axis, interval, v1, v2):
+    """<B_{.,I}(v1, v2), m1_I> by quadrature against the whole block of I,
+    rebuilt for the one interval."""
+    bspec = spec.x_block_spec(interval) if axis == "x" else spec.y_block_spec(interval)
+    outer = spec.x_outer[0] if axis == "x" else spec.y_outer[0]
+    return coefficient_naive(bilinear_block(bspec, v1, v2), interval, outer)
+
+
+def _absolute_coefficient(spec, interval, v1, v2):
+    """The x block coefficient of the interval with every term of its sum
+    made nonnegative: the scale of the rounding error in any order."""
+    bspec = spec.x_block_spec(interval)
+    f1, f2, f3 = bspec.families
+    m1 = np.abs(spec.x_outer[0].member(interval, v1.grid))
+    total = 0.0
+    for q in bspec.qualifying():
+        w = (coefficient_naive(v1, q, f1) * coefficient_naive(v2, q, f2)
+             / math.ldexp(1.0, q.k) ** 0.5)
+        total += abs(w) * float(np.sum(np.abs(f3.member(q, v1.grid)) * m1))
+    return total * float(v1.grid.cell_width)
+
+
+_G5 = Grid1D(0, 5)
+_INNER_POOL = enumerate_dyadic(_G5, -4, 0)
+
+
+@given(st.lists(st.sampled_from(_INNER_POOL), min_size=1, max_size=40),
+       st.sets(st.sampled_from(_INNER_POOL), min_size=1, max_size=12),
+       st.booleans(), st.integers(0, 6), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_block_coefficients_match_both_block_paths(inner, outer, fixed, sharp, seed):
+    """One per-scale block path for every family.  For Haar it is == to the
+    scatter; for fixed_scale it is == to the per-interval block.  For local
+    the sum over scales is re-associated, so each coefficient is within 1e-12
+    of the same sum taken over absolute values (a coefficient can be small
+    by cancellation).  Inner collections come in any order, with repeats, at
+    scales above and below the outer ones, and sharp may reach past the
+    coarsest scale."""
+    outer = sorted(outer)
+    rng = np.random.default_rng(seed)
+    v1, v2 = (GridFunction1D(_G5, rng.standard_normal(_G5.n_points))
+              for _ in range(2))
+    which = "flag_sharp_flag_sharp" if fixed else "flag0_flag0"
+    rects = [DyadicRectangle(I, I) for I in outer]
+    for flavor in ("haar", "smooth"):
+        maker = getattr(ModelOperatorSpec, flavor)
+        spec = maker(which, rects, inner, inner, sharp1=sharp, sharp2=sharp)
+        got = models._block_coefficients(spec, "x", outer, v1, v2)
+        per_interval = np.array([_block_coefficient_reference(spec, "x", I, v1, v2)
+                                 for I in outer])
+        if flavor == "haar":
+            scatter = _haar_block_outer_coeffs_reference(
+                spec.inner_x, spec.inner_x_families, outer, v1, v2,
+                "fixed_scale" if fixed else "local", sharp)
+            assert np.array_equal(got, [scatter[I] for I in outer])
+        if fixed:
+            assert np.array_equal(got, per_interval)
+        else:
+            scale = [_absolute_coefficient(spec, I, v1, v2) for I in outer]
+            assert np.all(np.abs(got - per_interval) <= 1e-12 * np.array(scale))
+
+
 def _weights_reference(spec, f1, f2, g1, g2):
     """Rectangle weights and h families by per-rectangle dict lookups, as
     before the table's inverse indices."""
     rects = list(spec.rectangles)
     xs, ys = sorted({r.x for r in rects}), sorted({r.y for r in rects})
-    bx = models._x_coefficients(spec, xs, f1, f2)
-    y_factor, norm_y, h_y, out_y = models._y_coefficients(spec, ys, g1, g2)
+    bx = dict(zip(xs, models._block_coefficients(spec, "x", xs, f1, f2)))
+    if spec.paraproduct_y:
+        g1c = all_coefficients(g1, ys, spec.y_para[0])
+        g2c = all_coefficients(g2, ys, spec.y_para[1])
+        y_factor = {J: g1c[J] * g2c[J] for J in ys}
+        norm_y = {J: 1.0 / math.ldexp(1.0, J.k) for J in ys}
+        h_y, out_y = spec.y_para[1], spec.y_para[2]
+    else:
+        y_factor = dict(zip(ys, models._block_coefficients(spec, "y", ys, g1, g2)))
+        norm_y = {J: 1.0 / math.ldexp(1.0, J.k) ** 0.5 for J in ys}
+        h_y, out_y = spec.y_outer[1], spec.y_outer[2]
     x_factor = {I: bx[I] / math.ldexp(1.0, I.k) ** 0.5 for I in xs}
     w = (np.array([x_factor[r.x] for r in rects])
          * np.array([y_factor[r.y] for r in rects])

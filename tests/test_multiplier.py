@@ -119,7 +119,8 @@ def _cascade_per_pair(a, b, f1, f2, g1, g2, h) -> np.ndarray:
     def blocks(types, u1, u2):
         out = {}
         for (k1, k2) in pairs:
-            comp3, comp1, _ = _completion_windows(k1, k2, xs)
+            comp3 = mother_phi_hat(xs / 2**(k1 + 2))
+            comp1, _ = _completion_windows(k2, xs)
             p1 = conv(u1.samples.astype(complex), _band_window(types[0], k1, xs))
             p2 = conv(u2.samples.astype(complex), _band_window(types[1], k1, xs))
             out[(k1, k2)] = conv(p1 * p2, comp3 * comp1)
@@ -130,9 +131,9 @@ def _cascade_per_pair(a, b, f1, f2, g1, g2, h) -> np.ndarray:
     hspec = np.fft.fft2(h.samples.astype(complex))
     acc = np.zeros((n, n), dtype=complex)
     for (k1, k2) in pairs:
-        px = _completion_windows(k1, k2, xs)[2]
+        px = _completion_windows(k2, xs)[1]
         for (j1, j2) in pairs:
-            py = _completion_windows(j1, j2, xs)[2]
+            py = _completion_windows(j2, xs)[1]
             band = np.outer(psi_hat_band(xs, k2), psi_hat_band(xs, j2))
             hband = np.fft.ifft2(hspec * band)
             core = xb[(k1, k2)][:, None] * yb[(j1, j2)][None, :] * hband
@@ -152,7 +153,8 @@ def _axis_symbol_tensor(a_types, pairs, n: int) -> np.ndarray:
     for (k1, k2) in pairs:
         w1 = _band_window(a_types[0], k1, xs)
         w2 = _band_window(a_types[1], k1, xs)
-        comp3, comp1, psi3 = _completion_windows(k1, k2, xs)
+        comp3 = mother_phi_hat(xs / 2**(k1 + 2))
+        comp1, psi3 = _completion_windows(k2, xs)
         mid = (comp3 * comp1)[sum2]
         outer = psi3[sum3]
         d = psi_hat_band(xs, k2)
@@ -182,8 +184,31 @@ def _direct_dense_reference(a, b, f1, f2, g1, g2, h):
 DIRECT_FLAGS = [(("psi", "phi"), ("phi", "psi")), (("psi", "psi"), ("psi", "psi"))]
 
 
+# no pair is admissible at N = 16 with gap 3
+@pytest.mark.parametrize("n,gap", [(n, gap) for n in (16, 32, 64, 128, 256, 512)
+                                   for gap in (1, 3) if (n, gap) != (16, 3)])
+def test_k1_completion_window_is_one_on_the_convolution_support(n, gap):
+    """mother_phi_hat(xi / 2^(k1+2)) is exactly 1.0 wherever the cyclic
+    convolution of two k1 band windows (psi or phi) is nonzero, for every
+    admissible pair: the completion needs no k1 window."""
+    from dyadlab.multiplier import _axis_pairs, _band_window, _sym_freqs
+    a, b = _special_pair(gap)
+    xs = _sym_freqs(n).astype(float)
+    m = np.arange(n)
+    diff = (m[None, :] - m[:, None]) % n  # [a, m] -> (m - a) mod N
+    for (k1, _) in _axis_pairs(a, b, n):
+        comp3 = mother_phi_hat(xs / 2**(k1 + 2))
+        for t1 in ("psi", "phi"):
+            for t2 in ("psi", "phi"):
+                w1 = (_band_window(t1, k1, xs) != 0).astype(int)
+                w2 = (_band_window(t2, k1, xs) != 0).astype(int)
+                support = (w1 @ w2[diff]) > 0
+                assert support.any()
+                assert np.all(comp3[support] == 1.0)
+
+
 @pytest.mark.parametrize("flags", DIRECT_FLAGS, ids=["psi_phi", "psi_psi"])
-@pytest.mark.parametrize("res_exp,gap", [(4, 1), (5, 3), (6, 3)])
+@pytest.mark.parametrize("res_exp,gap", [(4, 1), (5, 3), (6, 3), (6, 1)])
 def test_direct_path_matches_dense_reference(flags, res_exp, gap):
     g = Grid1D(0, res_exp)
     rng = np.random.default_rng(40 + res_exp)
@@ -361,7 +386,8 @@ def test_single_band_term_hand_value():
     for (k1, k2) in pairs:
         w1 = psi_hat_band(np.array([float(m1)]), k1)[0]
         w2 = psi_hat_band(np.array([float(m2)]), k1)[0]
-        comp3, comp1, psi3 = _completion_windows(k1, k2, np.array([0.0, float(m3)]))
+        comp3 = mother_phi_hat(np.array([0.0]) / 2**(k1 + 2))
+        comp1, psi3 = _completion_windows(k2, np.array([0.0, float(m3)]))
         d = psi_hat_band(np.array([float(m3)]), k2)[0]
         expected += w1 * w2 * comp3[0] * comp1[0] * d * psi3[1]
     expected = expected ** 2  # both axes carry the same factors

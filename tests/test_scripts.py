@@ -38,6 +38,15 @@ def test_leibniz_homogeneity_script(capsys):
     assert all(math.isfinite(float(r[-1])) for r in rows)
 
 
+@pytest.mark.parametrize("n", ["48", "2", "0", "-8"])
+def test_leibniz_homogeneity_script_rejects_bad_n(n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _main("leibniz_homogeneity")(["--n", n])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "power of two" in err and "Traceback" not in err
+
+
 def test_weak_type_stability_script(capsys):
     # at this size the growth bound does not hold; VIOLATED is a result here
     main = _main("weak_type_stability")

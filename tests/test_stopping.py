@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyadlab import stopping
 from dyadlab.dyadic import (DyadicInterval, DyadicRectangle, Grid1D,
                             GridFunction1D, GridFunction2D, _level_below,
                             _times_pow2, enumerate_dyadic, measure_intersection)
@@ -212,6 +213,24 @@ def test_omega_inside_enlargement():
     assert np.all(exc.e_prime.samples * exc.enlarged.samples == 0.0)
 
 
+def test_exceptional_set_masks_are_bool_and_e_prime_keeps_e():
+    """Omega1, Omega2, Omega and Enl(Omega) are bool masks; E' holds E's own
+    values off Enl(Omega), here for an E that is not an indicator."""
+    funcs, weights = _indicator_inputs(43)
+    rng = np.random.default_rng(6)
+    h = GridFunction2D(G, G, rng.standard_normal((G.n_points, G.n_points)))
+    e_set = GridFunction2D(G, G, rng.random((G.n_points, G.n_points)))
+    ivs = enumerate_dyadic(G, -3, 1)
+    rect = [DyadicRectangle(i, j) for i in ivs for j in ivs]
+    exc = build_exceptional_set(*funcs, h, e_set, (1.8, 1.8, 10.0),
+                                "fixed_scale", rectangles=rect, weights=weights)
+    for k in ("omega1", "omega2", "omega", "enlarged"):
+        assert getattr(exc, k).samples.dtype == bool
+    enl = exc.enlarged.samples
+    assert enl.any() and not enl.all()
+    assert np.array_equal(exc.e_prime.samples, np.where(enl, 0.0, e_set.samples))
+
+
 @pytest.mark.parametrize("s", [1.5, 2.0])
 def test_exceptional_set_h_norm(s):
     """h_norm is ||h||_s, the scale of the Omega2 threshold, with or without
@@ -365,6 +384,37 @@ def test_sparsity_2d_multi_level():
                    for j in ys})
     lhs, rhs = sparsity_check_2d(rect, decomp)
     assert lhs <= 10 * rhs
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the input check")
+
+
+@pytest.mark.parametrize("constant,weight", [(np.nan, 1.0), (np.inf, 1.0),
+                                             (1.0, np.nan), (1.0, np.inf),
+                                             (1.0, -np.inf)])
+def test_level_decomposition_rejects_non_finite_constant_or_weight(
+        constant, weight, monkeypatch):
+    """A NaN constant used to pass as a plain exponent shift; it is refused
+    before the intervals are read."""
+    monkeypatch.setattr(stopping, "_interval_table", _no_work)
+    driver = GridFunction1D(G, np.ones(G.n_points))
+    with pytest.raises(ConfigError):
+        level_decomposition_1d([UNIT], driver, constant, weight)
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_exceptional_set_rejects_non_finite_constants(slot, bad, monkeypatch):
+    """Refused before any maximal function is computed."""
+    funcs, weights = _indicator_inputs(3)
+    h = GridFunction2D(G, G, np.ones((G.n_points, G.n_points)))
+    constants = [2.0, 2.0, 2.0]
+    constants[slot] = bad
+    monkeypatch.setattr(stopping, "maximal_function", _no_work)
+    with pytest.raises(ConfigError):
+        build_exceptional_set(*funcs, h, h, tuple(constants), "fixed_scale",
+                              weights=weights)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
