@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 
+from dyadlab.errors import ConfigError
 from dyadlab.operators import HybridKind, estimate_operator_norm
 
 
@@ -30,11 +31,15 @@ def main(argv=None) -> int:
         (HybridKind.MM, (2.0, np.inf)),
     ]
     print("operator,p,max_ratio")
-    for kind, ps in cases:
-        for p in ps:
-            ratio = estimate_operator_norm(kind, p, args.trials, args.seed,
-                                           res_exp=args.res_exp)
-            print(f"{kind.value},{p},{ratio:.6f}")
+    try:
+        for kind, ps in cases:
+            for p in ps:
+                ratio = estimate_operator_norm(kind, p, args.trials, args.seed,
+                                               res_exp=args.res_exp)
+                print(f"{kind.value},{p},{ratio:.6f}")
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -4,6 +4,7 @@
 Runs the restricted weak-type sweep over a ladder of resolutions and two
 collection depths, printing the per-cell max ratio and the worst doubling
 growth factor. A CSV with the per-trial rows lands next to the report path.
+Exits 0 when stable, 1 when VIOLATED and 2 on a configuration error.
 
 Example:
     python scripts/weak_type_stability.py --seed 10 --trials 5 \
@@ -13,6 +14,7 @@ Example:
 import argparse
 import sys
 
+from dyadlab.errors import ConfigError
 from dyadlab.harness import ExperimentConfig, run
 
 
@@ -34,7 +36,11 @@ def main(argv=None) -> int:
         sweep_res_exps=tuple(args.res_exps), sweep_depths=tuple(args.depths),
         out=args.out,
         p1=4.0 / 3.0, q1=4.0, p2=4.0, q2=4.0 / 3.0, s=1.5)
-    report = run(config)
+    try:
+        report = run(config)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     for section in (report.aggregates, report.timings):
         for key, value in sorted(section.items()):
             print(f"{key}: {value}")

@@ -15,9 +15,10 @@ coefficient of h; the output is a linear combination of tensor members.
 A spec holds its rectangles as a dyadic.RectangleTable.  The block and
 paraproduct factors are computed once per distinct x or y interval of the
 table and gathered to the rectangles through its inverse indices.  One
-per-scale path gives the block coefficients for every cutoff family: the
-global block of each inner scale is built once; the local block of an outer
-scale is the running sum of those blocks from the top scale down, the
+per-scale path, driven by one axis's data, gives the block coefficients of
+every cutoff family to the model weights and to both localization checks:
+the global block of each inner scale is built once; the local block of an
+outer scale is the running sum of those blocks from the top scale down, the
 fixed-scale block the one at scale k + sharp; and each outer scale reads the
 coefficients of all its intervals from its one block.
 model_operator and multilinear_form take the 2D coefficients of every
@@ -28,7 +29,7 @@ as X^T C Y, multilinear_form pairs them with the dual's coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,9 +39,8 @@ from .dyadic import (DyadicInterval, GridFunction1D, GridFunction2D,
 from .errors import ConfigError
 from .size_energy import size
 from .wavelets import (CutoffFamily, CoefficientSequence, all_coefficients,
-                       all_coefficients_2d, coefficient_naive,
-                       HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
-                       SMOOTH_NONLACUNARY)
+                       all_coefficients_2d, HAAR_LACUNARY, HAAR_NONLACUNARY,
+                       SMOOTH_LACUNARY, SMOOTH_NONLACUNARY)
 
 __all__ = [
     "BilinearBlockSpec",
@@ -235,24 +235,18 @@ class ModelOperatorSpec:
                    y_para=smooth_outer)
 
 
-def _block_coefficients(spec: ModelOperatorSpec, axis: str,
+def _block_coefficients(inner: Sequence[DyadicInterval], families: tuple,
+                        fixed: bool, sharp: int, outer: CutoffFamily,
                         intervals: Sequence[DyadicInterval],
                         v1: GridFunction1D, v2: GridFunction1D) -> np.ndarray:
-    """<B_{.,I}(v1, v2), m1_I> for each interval I of one axis, in order.
+    """<B_{.,I}(v1, v2), m1_I> for each interval I, in order, with m1 = outer.
 
-    The block of an inner scale k is the global block over the inner
-    intervals of scale k, built once.  B_{.,I} is the block at scale
-    k_I + sharp (fixed_scale), or the running sum of the blocks from the top
-    scale down to k_I (local); only those scales are built.  Each outer
-    scale reads the coefficients of all its intervals from its one block.
+    The global block over the inner intervals of scale k is built once per
+    scale needed.  B_{.,I} is the block at scale k_I + sharp if fixed
+    (fixed_scale), else the running sum of the blocks from the top scale
+    down to k_I (local).  Each outer scale reads the coefficients of all
+    its intervals from its one block.
     """
-    if axis == "x":
-        inner, families, outer = spec.inner_x, spec.inner_x_families, spec.x_outer[0]
-        fixed, sharp = spec.x_fixed_scale, spec.sharp1
-    else:
-        inner, families, outer = spec.inner_y, spec.inner_y_families, spec.y_outer[0]
-        fixed, sharp = spec.y_fixed_scale, spec.sharp2
-
     def scale_block(k: int) -> np.ndarray:
         qs = tuple(q for q in inner if q.k == k)
         return bilinear_block(BilinearBlockSpec(qs, families), v1, v2).samples
@@ -287,7 +281,9 @@ def _rectangle_weights(spec: ModelOperatorSpec, f1, f2, g1, g2):
     """
     table = spec.rectangles
     xs, ys = table.x_intervals(), table.y_intervals()
-    x_factor = (_block_coefficients(spec, "x", xs, f1, f2)
+    x_factor = (_block_coefficients(spec.inner_x, spec.inner_x_families,
+                                    spec.x_fixed_scale, spec.sharp1,
+                                    spec.x_outer[0], xs, f1, f2)
                 / np.array([math.ldexp(1.0, I.k) ** 0.5 for I in xs]))
     if spec.paraproduct_y:
         g1c = all_coefficients(g1, ys, spec.y_para[0])
@@ -296,7 +292,9 @@ def _rectangle_weights(spec: ModelOperatorSpec, f1, f2, g1, g2):
         norm_y = 1.0 / np.array([math.ldexp(1.0, J.k) for J in ys])
         h_y_family, out_y_family = spec.y_para[1], spec.y_para[2]
     else:
-        y_factor = _block_coefficients(spec, "y", ys, g1, g2)
+        y_factor = _block_coefficients(spec.inner_y, spec.inner_y_families,
+                                       spec.y_fixed_scale, spec.sharp2,
+                                       spec.y_outer[0], ys, g1, g2)
         norm_y = 1.0 / np.array([math.ldexp(1.0, J.k) ** 0.5 for J in ys])
         h_y_family, out_y_family = spec.y_outer[1], spec.y_outer[2]
     w = (x_factor[table.x_inverse] * y_factor[table.y_inverse]
@@ -335,20 +333,22 @@ def oracle_model_operator(spec: ModelOperatorSpec, f1, f2, g1, g2, h,
         raise ConfigError(f"oracle capped at {cap} rectangles")
     gx, gy = h.grid_x, h.grid_y
     wx, wy = float(gx.cell_width), float(gy.cell_width)
+
+    def block_coef(bspec, outer, interval, v1, v2):
+        grid, w = v1.grid, float(v1.grid.cell_width)
+        blk = np.zeros(grid.n_points)
+        for q in bspec.qualifying():
+            a1 = float(np.sum(v1.samples * bspec.families[0].member(q, grid)) * w)
+            a2 = float(np.sum(v2.samples * bspec.families[1].member(q, grid)) * w)
+            blk = blk + (a1 * a2 / math.ldexp(1.0, q.k) ** 0.5) \
+                * bspec.families[2].member(q, grid)
+        coef = float(np.sum(blk * outer.member(interval, grid)) * w)
+        return coef / math.ldexp(1.0, interval.k) ** 0.5
+
     acc = np.zeros((gx.n_points, gy.n_points))
     for r in spec.rectangles:
         I, J = r.x, r.y
-
-        bspec = spec.x_block_spec(I)
-        block_vals = np.zeros(gx.n_points)
-        for q in bspec.qualifying():
-            a1 = float(np.sum(f1.samples * bspec.families[0].member(q, gx)) * wx)
-            a2 = float(np.sum(f2.samples * bspec.families[1].member(q, gx)) * wx)
-            block_vals = block_vals + (a1 * a2 / math.ldexp(1.0, q.k) ** 0.5) \
-                * bspec.families[2].member(q, gx)
-        x_coef = float(np.sum(block_vals * spec.x_outer[0].member(I, gx)) * wx)
-        x_coef /= math.ldexp(1.0, I.k) ** 0.5
-
+        x_coef = block_coef(spec.x_block_spec(I), spec.x_outer[0], I, f1, f2)
         if spec.paraproduct_y:
             b1 = float(np.sum(g1.samples * spec.y_para[0].member(J, gy)) * wy)
             b2 = float(np.sum(g2.samples * spec.y_para[1].member(J, gy)) * wy)
@@ -356,15 +356,7 @@ def oracle_model_operator(spec: ModelOperatorSpec, f1, f2, g1, g2, h,
             h_y = spec.y_para[1].member(J, gy)
             out_y = spec.y_para[2].member(J, gy)
         else:
-            yspec = spec.y_block_spec(J)
-            blk = np.zeros(gy.n_points)
-            for q in yspec.qualifying():
-                a1 = float(np.sum(g1.samples * yspec.families[0].member(q, gy)) * wy)
-                a2 = float(np.sum(g2.samples * yspec.families[1].member(q, gy)) * wy)
-                blk = blk + (a1 * a2 / math.ldexp(1.0, q.k) ** 0.5) \
-                    * yspec.families[2].member(q, gy)
-            y_coef = float(np.sum(blk * spec.y_outer[0].member(J, gy)) * wy)
-            y_coef /= math.ldexp(1.0, J.k) ** 0.5
+            y_coef = block_coef(spec.y_block_spec(J), spec.y_outer[0], J, g1, g2)
             h_y = spec.y_outer[1].member(J, gy)
             out_y = spec.y_outer[2].member(J, gy)
 
@@ -410,10 +402,10 @@ def local_size_bound_check(block_spec: BilinearBlockSpec, v1: GridFunction1D,
                            ) -> tuple[float, float]:
     """Size of the fixed-scale block coefficients against the coefficient sups.
 
-    lhs = size over P of <B^{sharp}_{Q,P}(v1,v2), ind_P> (averaging flavor);
-    rhs = sup_{Q meets the level set} |<v1, m1_Q>|/|Q|^{1/2} times the same
-    for v2.  Both sides are returned; the bound is lhs <= C rhs with C
-    reported by the caller.
+    lhs = size over P of <B^{sharp}_{Q,P}(v1,v2), ind_P> (averaging flavor),
+    all P read by _block_coefficients; rhs = sup_{Q meets the level set}
+    |<v1, m1_Q>|/|Q|^{1/2} times the same for v2.  Both sides are returned;
+    the bound is lhs <= C rhs with C reported by the caller.
     """
     if block_spec.variant != "fixed_scale":
         raise ConfigError("the size localization check needs a fixed_scale block")
@@ -421,22 +413,17 @@ def local_size_bound_check(block_spec: BilinearBlockSpec, v1: GridFunction1D,
     for p in outer:
         if not _meets(p, level_set):
             raise ConfigError(f"{p} does not meet the level set")
-    grid = v1.grid
-    outer_family = HAAR_NONLACUNARY if block_spec.families[2].haar else SMOOTH_NONLACUNARY
-    data = {}
-    for p in outer:
-        bspec = replace(block_spec, reference=p)
-        blk = bilinear_block(bspec, v1, v2)
-        data[p] = coefficient_naive(blk, p, outer_family)
-    lhs = size(CoefficientSequence(data, outer), outer, lacunary=False).value
+    f1, f2, f3 = block_spec.families
+    outer_family = HAAR_NONLACUNARY if f3.haar else SMOOTH_NONLACUNARY
+    coeffs = _block_coefficients(block_spec.collection, block_spec.families, True,
+                                 block_spec.sharp, outer_family, outer, v1, v2)
+    lhs = size(CoefficientSequence(dict(zip(outer, coeffs.tolist())), outer),
+               outer, lacunary=False).value
 
     meeting = [q for q in block_spec.collection if _meets(q, level_set)]
-    if not meeting:
-        return lhs, 0.0
-    s1 = max(abs(coefficient_naive(v1, q, block_spec.families[0]))
-             / math.ldexp(1.0, q.k) ** 0.5 for q in meeting)
-    s2 = max(abs(coefficient_naive(v2, q, block_spec.families[1]))
-             / math.ldexp(1.0, q.k) ** 0.5 for q in meeting)
+    c1, c2 = all_coefficients(v1, meeting, f1), all_coefficients(v2, meeting, f2)
+    s1 = max((abs(c1[q]) / math.ldexp(1.0, q.k) ** 0.5 for q in meeting), default=0.0)
+    s2 = max((abs(c2[q]) / math.ldexp(1.0, q.k) ** 0.5 for q in meeting), default=0.0)
     return lhs, s1 * s2
 
 
@@ -449,23 +436,27 @@ def energy_localization_check(block_spec: BilinearBlockSpec, v1: GridFunction1D,
     With a lacunary third family the two coefficients agree exactly (the
     support of the averaging member forces the containing intervals, so the
     scale restriction is vacuous); with a non-lacunary third family the
-    localized absolute-value block dominates.  Returns violations beyond tol.
+    localized absolute-value block dominates.  The local coefficients of all
+    P come from _block_coefficients, the localized ones from one localized
+    block.  Returns violations beyond tol.
     """
     if not block_spec.families[2].haar:
         raise ConfigError("the energy localization check lives in the Haar model")
+    outer = tuple(outer_collection)
+    for p in outer:
+        if not _meets(p, level_set):
+            raise ConfigError(f"{p} does not meet the level set")
     third_lac = block_spec.families[2].lacunary
     variant = "localized_lac" if third_lac else "localized_nonlac"
     localized = BilinearBlockSpec(block_spec.collection, block_spec.families,
                                   variant, level_set=level_set)
-    loc_block = bilinear_block(localized, v1, v2)
+    rhs_all = all_coefficients(bilinear_block(localized, v1, v2), outer,
+                               HAAR_NONLACUNARY)
+    lhs_all = _block_coefficients(block_spec.collection, block_spec.families,
+                                  False, 0, HAAR_NONLACUNARY, outer, v1, v2)
     out: list[str] = []
-    for p in outer_collection:
-        if not _meets(p, level_set):
-            raise ConfigError(f"{p} does not meet the level set")
-        local = BilinearBlockSpec(block_spec.collection, block_spec.families,
-                                  "local", reference=p)
-        lhs = coefficient_naive(bilinear_block(local, v1, v2), p, HAAR_NONLACUNARY)
-        rhs = coefficient_naive(loc_block, p, HAAR_NONLACUNARY)
+    for p, lhs in zip(outer, lhs_all.tolist()):
+        rhs = rhs_all[p]
         if third_lac:
             if abs(lhs - rhs) > tol:
                 out.append(f"{p}: |{lhs} - {rhs}| > {tol}")

@@ -7,9 +7,10 @@ symmetric representative: this makes the direct frequency-sum evaluation and
 the FFT convolution cascade two implementations of the same finite object.
 
 The two are kept independent on purpose, so that comparing them checks
-something.  The direct sum takes one scale pair at a time, with an explicit
-O(N^2) convolution of the banded input spectra; the cascade convolves by FFT
-and sums over the low scale before the blocks meet h.
+something.  The direct sum, which apply_multiplier runs at every N, takes one
+scale pair at a time, with an explicit O(N^2) convolution of the banded input
+spectra; the cascade (special_symbol_cascade, the check) convolves by FFT and
+sums over the low scale before the blocks meet h.
 
 Band windows follow the usual smooth ladder: a mother low-pass window equal to
 1 on [-1, 1] and supported in [-2, 2]; the annulus window is the difference of
@@ -322,13 +323,13 @@ def apply_multiplier(a: SymbolSpec, b: SymbolSpec, f1: GridFunction1D,
     """The five-linear multiplier operator for the symbol pair (a, b).
 
     constant_one pairs collapse to the pointwise product.  product_special
-    pairs realize the cross-scale (completed) part of the symbol product.  Up
-    to N = 64 the six-fold frequency sum is evaluated directly: the phases of
-    the two inputs of an axis multiply to the phase of their frequency sum,
-    so per scale pair each axis needs only the explicit cyclic convolution of
-    its banded spectra, and no N^3 symbol is built.  This path does no FFT
-    convolution and does not sum over the low scale, so it stays an
-    independent check on the cascade, to which larger grids delegate.
+    pairs realize the cross-scale (completed) part of the symbol product; at
+    every N up to the cap of 512 the six-fold frequency sum is evaluated
+    directly: the phases of the two inputs of an axis multiply to the phase
+    of their frequency sum, so per scale pair each axis needs only the
+    explicit cyclic convolution of its banded spectra, and no N^3 symbol is
+    built.  This path does no FFT convolution and does not sum over the low
+    scale, so special_symbol_cascade stays an independent check on it.
     tabulated pairs run the literal six-fold sum and are capped at N = 16.
     """
     n = _shared_grid_n(f1, f2, g1, g2, h)
@@ -341,8 +342,6 @@ def apply_multiplier(a: SymbolSpec, b: SymbolSpec, f1: GridFunction1D,
         _check_special(a, b)
         if n > 512:
             raise ConfigError("product_special capped at N = 512")
-        if n > 64:
-            return special_symbol_cascade(a, b, f1, f2, g1, g2, h)
         return _apply_direct(a, _axis_pairs(a, b, n), f1, f2, g1, g2, h)
     # tabulated
     if n > 16:

@@ -164,10 +164,10 @@ def level_decomposition_1d(collection: Sequence[DyadicInterval],
     driver that hold the scale's intervals.  Buckets and bottom keep repeated
     intervals and are sorted; the first interval that is not a union of grid
     cells inside the box raises ResolutionError or DomainError, and a
-    non-finite constant or weight raises ConfigError.
+    non-finite constant or weight, or a constant <= 0, raises ConfigError.
     """
-    if not (math.isfinite(constant) and math.isfinite(weight)):
-        raise ConfigError("constant and weight must be finite")
+    if not (math.isfinite(constant) and math.isfinite(weight)) or constant <= 0:
+        raise ConfigError("constant must be finite and positive, weight finite")
     collection = tuple(collection)
     grid = driver.grid
     ks, ns = _interval_table(collection, grid)
@@ -354,10 +354,10 @@ def build_exceptional_set(f1: GridFunction1D, f2: GridFunction1D,
     coefficients for the SS kind's families, in rectangle order, and
     hybrid_2d uses them instead of computing its own.  Omega1, Omega2, Omega
     and Enl(Omega) hold bool masks; E' keeps the values of E off Enl(Omega).
-    Non-finite constants raise ConfigError.
+    Non-finite or non-positive constants raise ConfigError.
     """
-    if not all(math.isfinite(c) for c in constants):
-        raise ConfigError("constants must be finite")
+    if not all(math.isfinite(c) and c > 0 for c in constants):
+        raise ConfigError("constants must be finite and positive")
     c1, c2, c3 = constants
     if e_set.integral() <= 0:
         raise ConfigError("E must have positive measure")

@@ -15,15 +15,17 @@ from dyadlab.models import (BilinearBlockSpec, MODEL_NAMES, ModelOperatorSpec,
                             local_size_bound_check, model_operator,
                             multilinear_form, oracle_model_operator)
 from dyadlab.operators import HybridKind, hybrid_2d
+from dyadlab.size_energy import size
 from dyadlab.stopping import level_set_decomposition_2d
 from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
-                              SMOOTH_NONLACUNARY, all_coefficients,
-                              all_coefficients_2d, coefficient_naive,
-                              haar_pyramid)
+                              SMOOTH_NONLACUNARY, CoefficientSequence,
+                              all_coefficients, all_coefficients_2d,
+                              coefficient_naive, haar_pyramid)
 
 G = Grid1D(0, 6)
 UNIT = DyadicInterval(0, 0)
 HAAR_TRIPLE = (HAAR_NONLACUNARY, HAAR_LACUNARY, HAAR_LACUNARY)
+SMOOTH_TRIPLE = (SMOOTH_NONLACUNARY, SMOOTH_LACUNARY, SMOOTH_LACUNARY)
 
 
 def _random_inputs(seed, grid=G):
@@ -383,20 +385,17 @@ def _haar_block_outer_coeffs_reference(inner, families, outer_intervals, v1, v2,
     return out
 
 
-def _block_coefficient_reference(spec, axis, interval, v1, v2):
+def _block_coefficient_reference(bspec, outer, interval, v1, v2):
     """<B_{.,I}(v1, v2), m1_I> by quadrature against the whole block of I,
-    rebuilt for the one interval."""
-    bspec = spec.x_block_spec(interval) if axis == "x" else spec.y_block_spec(interval)
-    outer = spec.x_outer[0] if axis == "x" else spec.y_outer[0]
+    rebuilt for the one interval; bspec is the block spec of I."""
     return coefficient_naive(bilinear_block(bspec, v1, v2), interval, outer)
 
 
-def _absolute_coefficient(spec, interval, v1, v2):
-    """The x block coefficient of the interval with every term of its sum
+def _absolute_coefficient(bspec, outer, interval, v1, v2):
+    """The block coefficient of the interval with every term of its sum
     made nonnegative: the scale of the rounding error in any order."""
-    bspec = spec.x_block_spec(interval)
     f1, f2, f3 = bspec.families
-    m1 = np.abs(spec.x_outer[0].member(interval, v1.grid))
+    m1 = np.abs(outer.member(interval, v1.grid))
     total = 0.0
     for q in bspec.qualifying():
         w = (coefficient_naive(v1, q, f1) * coefficient_naive(v2, q, f2)
@@ -430,9 +429,11 @@ def test_block_coefficients_match_both_block_paths(inner, outer, fixed, sharp, s
     for flavor in ("haar", "smooth"):
         maker = getattr(ModelOperatorSpec, flavor)
         spec = maker(which, rects, inner, inner, sharp1=sharp, sharp2=sharp)
-        got = models._block_coefficients(spec, "x", outer, v1, v2)
-        per_interval = np.array([_block_coefficient_reference(spec, "x", I, v1, v2)
-                                 for I in outer])
+        got = models._block_coefficients(spec.inner_x, spec.inner_x_families,
+                                         fixed, sharp, spec.x_outer[0], outer,
+                                         v1, v2)
+        per_interval = np.array([_block_coefficient_reference(
+            spec.x_block_spec(I), spec.x_outer[0], I, v1, v2) for I in outer])
         if flavor == "haar":
             scatter = _haar_block_outer_coeffs_reference(
                 spec.inner_x, spec.inner_x_families, outer, v1, v2,
@@ -441,8 +442,132 @@ def test_block_coefficients_match_both_block_paths(inner, outer, fixed, sharp, s
         if fixed:
             assert np.array_equal(got, per_interval)
         else:
-            scale = [_absolute_coefficient(spec, I, v1, v2) for I in outer]
+            scale = [_absolute_coefficient(spec.x_block_spec(I), spec.x_outer[0],
+                                           I, v1, v2) for I in outer]
             assert np.all(np.abs(got - per_interval) <= 1e-12 * np.array(scale))
+
+
+def _local_size_bound_reference(block_spec, v1, v2, level_set, outer_collection):
+    """local_size_bound_check with one fixed-scale block per outer interval P,
+    each read by quadrature, and the sups by quadrature."""
+    outer = tuple(outer_collection)
+    outer_family = (HAAR_NONLACUNARY if block_spec.families[2].haar
+                    else SMOOTH_NONLACUNARY)
+    data = {}
+    for p in outer:
+        blk = bilinear_block(replace(block_spec, reference=p), v1, v2)
+        data[p] = coefficient_naive(blk, p, outer_family)
+    lhs = size(CoefficientSequence(data, outer), outer, lacunary=False).value
+    meeting = [q for q in block_spec.collection
+               if np.any(level_set.restrict(q) > 0)]
+    if not meeting:
+        return lhs, 0.0
+    s1 = max(abs(coefficient_naive(v1, q, block_spec.families[0]))
+             / math.ldexp(1.0, q.k) ** 0.5 for q in meeting)
+    s2 = max(abs(coefficient_naive(v2, q, block_spec.families[1]))
+             / math.ldexp(1.0, q.k) ** 0.5 for q in meeting)
+    return lhs, s1 * s2
+
+
+def _energy_pairs_reference(block_spec, v1, v2, level_set, outer_collection):
+    """The (local, localized) coefficient pair of each outer interval P as
+    energy_localization_check once read them: a whole local block rebuilt
+    for every P, each block read by quadrature."""
+    variant = ("localized_lac" if block_spec.families[2].lacunary
+               else "localized_nonlac")
+    loc_block = bilinear_block(BilinearBlockSpec(
+        block_spec.collection, block_spec.families, variant,
+        level_set=level_set), v1, v2)
+    pairs = []
+    for p in outer_collection:
+        local = replace(block_spec, variant="local", reference=p)
+        pairs.append((coefficient_naive(bilinear_block(local, v1, v2), p,
+                                        HAAR_NONLACUNARY),
+                      coefficient_naive(loc_block, p, HAAR_NONLACUNARY)))
+    return pairs
+
+
+def _energy_violations_reference(pairs, outer, third_lac, tol):
+    """The intervals that energy_localization_check flags, by its own rule."""
+    return [p for p, (lhs, rhs) in zip(outer, pairs)
+            if (abs(lhs - rhs) > tol if third_lac else abs(lhs) > abs(rhs) + tol)]
+
+
+def _split_tolerance(gaps):
+    """A negative tolerance -d with d at the middle of the widest jump
+    between the sorted gaps |rhs| - |lhs|, so that the non-lacunary check
+    flags the intervals below d and passes those above it."""
+    g = np.unique(np.round(gaps, 14))
+    if g.size < 2:
+        return -0.5 * float(g[0])
+    j = int(np.argmax(np.diff(g)))
+    return -0.5 * float(g[j] + g[j + 1])
+
+
+_LEVEL_POOL = enumerate_dyadic(Grid1D(0, 6), -3, 0)
+
+
+@given(st.sampled_from([5, 6]), st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                          max_size=40),
+       st.sampled_from(_LEVEL_POOL), st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                              max_size=12),
+       st.integers(0, 3), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_localization_checks_match_per_interval_references(
+        res_exp, inner_picks, anchor, outer_picks, sharp, seed):
+    """Both localization checks read their block coefficients from the one
+    per-scale path; they match the per-P blocks they once rebuilt.  The
+    inner collection comes in any order and with repeats; the outer
+    intervals meet the level set and span several scales.  Each block
+    coefficient is within 1e-12 of the same sum over absolute values; the
+    size check's sides are within 1e-12 of the larger reference side and
+    exactly 0 where the reference's are; the energy check flags the same
+    intervals, at its default tolerance and at a negative one that splits
+    the non-lacunary intervals."""
+    grid = Grid1D(0, res_exp)
+    pool = enumerate_dyadic(grid, -4, 0)
+    inner = tuple(pool[i % len(pool)] for i in inner_picks)
+    level = GridFunction1D.indicator(grid, [anchor])
+    meeting = [iv for iv in pool if np.any(level.restrict(iv) > 0)]
+    outer = [meeting[i % len(meeting)] for i in outer_picks]
+    rng = np.random.default_rng(seed)
+    v1, v2 = (GridFunction1D(grid, rng.standard_normal(grid.n_points))
+              for _ in range(2))
+
+    for triple, outer_family in ((HAAR_TRIPLE, HAAR_NONLACUNARY),
+                                 (SMOOTH_TRIPLE, SMOOTH_NONLACUNARY)):
+        spec = BilinearBlockSpec(inner, triple, "fixed_scale", outer[0], sharp)
+        got = models._block_coefficients(inner, triple, True, sharp,
+                                         outer_family, outer, v1, v2)
+        for I, c in zip(outer, got):
+            bspec = replace(spec, reference=I)
+            ref = _block_coefficient_reference(bspec, outer_family, I, v1, v2)
+            assert c == ref or abs(c - ref) <= 1e-12 * _absolute_coefficient(
+                bspec, outer_family, I, v1, v2)
+        lhs, rhs = local_size_bound_check(spec, v1, v2, level, outer)
+        ref_lhs, ref_rhs = _local_size_bound_reference(spec, v1, v2, level, outer)
+        bound = 1e-12 * max(ref_lhs, ref_rhs)
+        assert abs(lhs - ref_lhs) <= bound and abs(rhs - ref_rhs) <= bound
+        assert (ref_lhs != 0.0 or lhs == 0.0) and (ref_rhs != 0.0 or rhs == 0.0)
+
+    for triple in ((HAAR_NONLACUNARY, HAAR_LACUNARY, HAAR_LACUNARY),
+                   (HAAR_LACUNARY, HAAR_LACUNARY, HAAR_NONLACUNARY)):
+        spec = BilinearBlockSpec(inner, triple, "local", outer[0])
+        third_lac = triple[2].lacunary
+        got = models._block_coefficients(inner, triple, False, 0,
+                                         HAAR_NONLACUNARY, outer, v1, v2)
+        pairs = _energy_pairs_reference(spec, v1, v2, level, outer)
+        for I, c, (ref, _) in zip(outer, got, pairs):
+            assert c == ref or abs(c - ref) <= 1e-12 * _absolute_coefficient(
+                replace(spec, reference=I), HAAR_NONLACUNARY, I, v1, v2)
+        tols = [1e-12]
+        if not third_lac:
+            tols.append(_split_tolerance([abs(r) - abs(l) for l, r in pairs]))
+        for tol in tols:
+            msgs = energy_localization_check(spec, v1, v2, level, outer, tol)
+            assert [m.split(": ")[0] for m in msgs] == [
+                str(p) for p in _energy_violations_reference(pairs, outer,
+                                                             third_lac, tol)]
 
 
 def _weights_reference(spec, f1, f2, g1, g2):
@@ -450,7 +575,9 @@ def _weights_reference(spec, f1, f2, g1, g2):
     before the table's inverse indices."""
     rects = list(spec.rectangles)
     xs, ys = sorted({r.x for r in rects}), sorted({r.y for r in rects})
-    bx = dict(zip(xs, models._block_coefficients(spec, "x", xs, f1, f2)))
+    bx = dict(zip(xs, models._block_coefficients(
+        spec.inner_x, spec.inner_x_families, spec.x_fixed_scale, spec.sharp1,
+        spec.x_outer[0], xs, f1, f2)))
     if spec.paraproduct_y:
         g1c = all_coefficients(g1, ys, spec.y_para[0])
         g2c = all_coefficients(g2, ys, spec.y_para[1])
@@ -458,7 +585,9 @@ def _weights_reference(spec, f1, f2, g1, g2):
         norm_y = {J: 1.0 / math.ldexp(1.0, J.k) for J in ys}
         h_y, out_y = spec.y_para[1], spec.y_para[2]
     else:
-        y_factor = dict(zip(ys, models._block_coefficients(spec, "y", ys, g1, g2)))
+        y_factor = dict(zip(ys, models._block_coefficients(
+            spec.inner_y, spec.inner_y_families, spec.y_fixed_scale, spec.sharp2,
+            spec.y_outer[0], ys, g1, g2)))
         norm_y = {J: 1.0 / math.ldexp(1.0, J.k) ** 0.5 for J in ys}
         h_y, out_y = spec.y_outer[1], spec.y_outer[2]
     x_factor = {I: bx[I] / math.ldexp(1.0, I.k) ** 0.5 for I in xs}

@@ -292,7 +292,9 @@ class TestApplyMultiplier:
 
     def test_cascade_matches_direct_sum(self):
         # N = 32 has one scale pair per axis; N = 64 has (0, 4), (0, 5) and
-        # (1, 5), so the cascade sums two blocks for the top scale 5
+        # (1, 5), so the cascade sums two blocks for the top scale 5.  The
+        # direct sum runs at every N, so one draw per (N, gap) at N = 128,
+        # 256 and 512 checks it against the cascade on the largest grids.
         rng = np.random.default_rng(7)
         a, b = _special_pair()
         worst = worst_rel = 0.0
@@ -307,6 +309,17 @@ class TestApplyMultiplier:
                 worst_rel = max(worst_rel, dev / float(np.max(np.abs(cascade))))
         assert worst <= 1e-9
         assert worst_rel <= 1e-12
+        for res_exp in (7, 8, 9):
+            g = Grid1D(0, res_exp)
+            for gap in (1, 3):
+                a, b = _special_pair(gap)
+                fs = [_rand1(rng, g) for _ in range(4)]
+                h = _rand2(rng, g)
+                direct = apply_multiplier(a, b, *fs, h).samples
+                cascade = special_symbol_cascade(a, b, *fs, h).samples
+                scale = float(np.max(np.abs(cascade)))
+                assert scale > 0
+                assert np.max(np.abs(direct - cascade)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("res_exp", [7, 8])
     def test_cascade_matches_per_pair_passes(self, res_exp):

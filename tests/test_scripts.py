@@ -6,8 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from dyadlab.errors import ConfigError
-
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -29,6 +27,12 @@ def test_operator_norms_script(capsys):
     assert header == ["operator", "p", "max_ratio"]
     assert {"M", "S", "SS_H", "MS_H", "SM_H", "MM"} == {r[0] for r in rows}
     assert all(math.isfinite(float(r[2])) for r in rows)
+
+
+def test_operator_norms_script_rejects_bad_trials(capsys):
+    assert _main("operator_norms")(["--trials", "0", "--res-exp", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "Traceback" not in err
 
 
 def test_leibniz_homogeneity_script(capsys):
@@ -56,5 +60,14 @@ def test_weak_type_stability_script(capsys):
               if line.startswith("ratio[")]
     assert len(ratios) == 4  # two res_exps by two depths
     assert all(math.isfinite(float(value)) for _, value in ratios)
-    with pytest.raises(ConfigError):
-        main(["--trials", "1", "--res-exps", "5", "--depths", "2"])
+
+
+@pytest.mark.parametrize("argv", [["--trials", "1", "--res-exps", "5", "--depths", "2"],
+                                  ["--trials", "0", "--res-exps", "6", "7",
+                                   "--depths", "2", "3"]])
+def test_weak_type_stability_script_rejects_bad_config(argv, capsys):
+    """Exit 2, not the 1 of VIOLATED, and no traceback or result."""
+    assert _main("weak_type_stability")(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+    assert "stability:" not in out

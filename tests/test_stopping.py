@@ -392,11 +392,13 @@ def _no_work(*args, **kwargs):
 
 @pytest.mark.parametrize("constant,weight", [(np.nan, 1.0), (np.inf, 1.0),
                                              (1.0, np.nan), (1.0, np.inf),
-                                             (1.0, -np.inf)])
+                                             (1.0, -np.inf), (0.0, 1.0),
+                                             (-1.0, 1.0)])
 def test_level_decomposition_rejects_non_finite_constant_or_weight(
         constant, weight, monkeypatch):
-    """A NaN constant used to pass as a plain exponent shift; it is refused
-    before the intervals are read."""
+    """A NaN constant used to pass as a plain exponent shift, and a constant
+    <= 0 gave the buckets of constant 1; both are refused before the
+    intervals are read."""
     monkeypatch.setattr(stopping, "_interval_table", _no_work)
     driver = GridFunction1D(G, np.ones(G.n_points))
     with pytest.raises(ConfigError):
@@ -404,9 +406,10 @@ def test_level_decomposition_rejects_non_finite_constant_or_weight(
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 def test_exceptional_set_rejects_non_finite_constants(slot, bad, monkeypatch):
-    """Refused before any maximal function is computed."""
+    """Non-finite and non-positive constants are refused before any maximal
+    function is computed."""
     funcs, weights = _indicator_inputs(3)
     h = GridFunction2D(G, G, np.ones((G.n_points, G.n_points)))
     constants = [2.0, 2.0, 2.0]
