@@ -144,6 +144,31 @@ class Grid1D:
         return a, b
 
 
+def _interval_table(intervals: Sequence[DyadicInterval], grid: Grid1D
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The intervals' scales and positions as int64 arrays, checked."""
+    try:
+        ks = np.array([iv.k for iv in intervals], dtype=np.int64)
+        ns = np.array([iv.n for iv in intervals], dtype=np.int64)
+    except OverflowError:  # an interval beyond int64 lies off the grid
+        for iv in intervals:
+            grid.cell_range(iv)
+        raise
+    _check_intervals(ks, ns, grid)
+    return ks, ns
+
+
+def _check_intervals(ks: np.ndarray, ns: np.ndarray, grid: Grid1D) -> None:
+    """Each I(ks[i], ns[i]) must be a union of grid cells inside the box; the
+    first one that is not raises its cell_range error."""
+    ok = (ks >= -grid.res_exp) & (ks <= grid.box_exp) & (ns >= 0)
+    # the box holds 2^(box_exp - k) intervals of scale k
+    ok[ok] = ns[ok] < np.left_shift(1, grid.box_exp - ks[ok])
+    if not ok.all():
+        i = int(np.argmin(ok))
+        grid.cell_range(DyadicInterval(int(ks[i]), int(ns[i])))  # raises
+
+
 def _check_finite(samples: np.ndarray) -> None:
     if not np.isfinite(samples).all():
         raise ConfigError("samples must be finite (no NaN or inf)")

@@ -14,7 +14,7 @@ import hashlib
 import io
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 import numpy as np
 
@@ -29,12 +29,15 @@ from .multiplier import ExponentTuple, leibniz_check
 from .operators import maximal_function
 from .stopping import (build_exceptional_set, level_decomposition_1d,
                        sparsity_check_1d, sparsity_check_2d)
-from .wavelets import CoefficientSequence, HAAR_LACUNARY, all_coefficients_2d
+from .wavelets import (CoefficientSequence, HAAR_LACUNARY, HAAR_NONLACUNARY,
+                       SMOOTH_LACUNARY, SMOOTH_NONLACUNARY, all_coefficients_2d)
 
 __all__ = [
     "ExperimentConfig",
     "RunReport",
     "generate_test_functions",
+    "model_spec_from_config",
+    "weak_type_trial",
     "run",
     "estimate_weak_type_constant",
 ]
@@ -62,7 +65,6 @@ class ExperimentConfig:
     trials: int = 20
     seed: int = 0
     out: str | None = None
-    gap: int = 3
     depth: int = 3
     inner_depth: int = 7
     model: str = "flag0_flag0"
@@ -93,6 +95,16 @@ class ExperimentConfig:
             raise ConfigError("constants: need finite c1, c2, c3 >= 1")
         if self.depth < 1 or self.depth >= self.res_exp:
             raise ConfigError("depth: need 1 <= depth < res_exp")
+        if self.inner_depth < 1:
+            raise ConfigError("inner_depth: must be >= 1")
+        if self.sharp1 < 0 or self.sharp2 < 0:
+            raise ConfigError("sharp1, sharp2: scale offsets must be >= 0")
+        fixed = {"flag_sharp_paraproduct": (self.sharp1,),
+                 "flag0_flag_sharp": (self.sharp2,),
+                 "flag_sharp_flag_sharp": (self.sharp1, self.sharp2)}
+        if self.kind == "weak_type_sweep" and 0 in fixed.get(self.model, ()):
+            raise ConfigError(f"sharp1, sharp2: Haar makes {self.model} "
+                              "identically zero at a fixed-scale offset 0")
         self.exponents()  # raises ConfigError on a bad tuple
 
     @classmethod
@@ -109,7 +121,7 @@ class ExperimentConfig:
             "exponents": (("p1", float), ("q1", float), ("p2", float),
                           ("q2", float), ("s", float)),
             "model": (("model", str), ("depth", int), ("inner_depth", int),
-                      ("sharp1", int), ("sharp2", int), ("gap", int)),
+                      ("sharp1", int), ("sharp2", int)),
         }
         for section, fields_ in sections.items():
             if not parser.has_section(section):
@@ -436,15 +448,12 @@ def _run_weak_type(config: ExperimentConfig, report: RunReport) -> None:
 
 def _admissible_triples(flavor: str):
     """Cutoff-family triples with at least two lacunary members."""
-    from .wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
-                           SMOOTH_NONLACUNARY)
     lac = HAAR_LACUNARY if flavor == "haar" else SMOOTH_LACUNARY
     non = HAAR_NONLACUNARY if flavor == "haar" else SMOOTH_NONLACUNARY
     return ((non, lac, lac), (lac, non, lac), (lac, lac, non), (lac, lac, lac))
 
 
 def _run_oracle_equivalence(config: ExperimentConfig, report: RunReport) -> None:
-    from dataclasses import replace as dc_replace
     master = np.random.SeedSequence(config.seed)
     worst = 0.0
     for i, trial_seed in enumerate(master.spawn(config.trials)):
@@ -467,9 +476,9 @@ def _run_oracle_equivalence(config: ExperimentConfig, report: RunReport) -> None
         spec = maker(which, rect, inner, inner,
                      sharp1=int(rng.integers(0, 3)), sharp2=int(rng.integers(0, 3)))
         triples = _admissible_triples(flavor)
-        spec = dc_replace(spec, inner_x_families=triples[(i // 10) % 4])
+        spec = replace(spec, inner_x_families=triples[(i // 10) % 4])
         if spec.paraproduct_y:
-            spec = dc_replace(spec, y_para=triples[(i // 10 + 1) % 4])
+            spec = replace(spec, y_para=triples[(i // 10 + 1) % 4])
         fs = [GridFunction1D(gx, rng.standard_normal(gx.n_points))
               for _ in range(4)]
         h = GridFunction2D(gx, gy,

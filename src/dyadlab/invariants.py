@@ -13,8 +13,8 @@ import numpy as np
 from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
                      GridFunction2D, contains, disjoint, enumerate_dyadic,
                      measure_intersection)
-from .harness import _rng
-from .models import (BilinearBlockSpec, ModelOperatorSpec,
+from .harness import _rng, generate_test_functions
+from .models import (BilinearBlockSpec, MODEL_NAMES, ModelOperatorSpec,
                      energy_localization_check, local_size_bound_check,
                      model_operator, oracle_model_operator)
 from .multiplier import (SymbolSpec, apply_multiplier, fractional_derivative,
@@ -26,7 +26,7 @@ from .stopping import (build_exceptional_set, check_index_observation_I,
                        level_decomposition_1d, sparsity_check_1d,
                        sparsity_check_2d, tensor_decomposition_I)
 from .wavelets import (CoefficientSequence, HAAR_LACUNARY, HAAR_NONLACUNARY,
-                       all_coefficients, coefficient_naive, haar_pyramid)
+                       all_coefficients, coefficient_naive)
 
 
 def run_all(config) -> list[dict]:
@@ -71,12 +71,9 @@ def _check_parseval(config) -> list[dict]:
     g = Grid1D(0, 7)
     f = GridFunction1D(g, rng.standard_normal(g.n_points))
     ivs = enumerate_dyadic(g, 1 - g.res_exp, 0)
-    pyr = haar_pyramid(f)
     worst = 0.0
     total = 0.0
-    from .wavelets import coefficient
-    for iv in ivs:
-        fast = coefficient(f, iv, HAAR_LACUNARY, pyr)
+    for iv, fast in zip(ivs, all_coefficients(f, ivs, HAAR_LACUNARY).tolist()):
         slow = coefficient_naive(f, iv, HAAR_LACUNARY)
         worst = max(worst, abs(fast - slow))
         total += fast * fast
@@ -139,7 +136,6 @@ def _check_bessel(config) -> list[dict]:
 def _check_model_oracle(config) -> list[dict]:
     rng = _rng(config.seed + 3)
     worst = 0.0
-    from .models import MODEL_NAMES
     for which in MODEL_NAMES:
         g = Grid1D(0, 5)
         xs = enumerate_dyadic(g, -2, 0)
@@ -187,7 +183,6 @@ def _check_stopping_time(config) -> list[dict]:
 def _check_tensor_partition(config) -> list[dict]:
     rng = _rng(config.seed + 5)
     g = Grid1D(1, 6)
-    from .harness import generate_test_functions
     fs = [generate_test_functions("indicator_bounded", config.seed + 10 + i, g)
           for i in range(4)]
     f1, f2, g1, g2 = (p["f"] for p in fs)
@@ -220,7 +215,6 @@ def _check_tensor_partition(config) -> list[dict]:
 
 def _check_sparsity(config) -> list[dict]:
     g = Grid1D(1, 7)
-    from .harness import generate_test_functions
     data = generate_test_functions("indicator_bounded", config.seed + 20, g)
     g1 = GridFunction1D(g, np.abs(data["f"].samples))
     w = data["support_measure"] or 1.0

@@ -20,7 +20,8 @@ every cutoff family to the model weights and to both localization checks:
 the global block of each inner scale is built once; the local block of an
 outer scale is the running sum of those blocks from the top scale down, the
 fixed-scale block the one at scale k + sharp; and each outer scale reads the
-coefficients of all its intervals from its one block.
+coefficients of all its intervals from its one block.  Every 1D coefficient
+is read by wavelets.all_coefficients, as an array in collection order.
 model_operator and multilinear_form take the 2D coefficients of every
 rectangle from wavelets.all_coefficients_2d; model_operator sums the terms
 as X^T C Y, multilinear_form pairs them with the dual's coefficients.
@@ -64,6 +65,7 @@ MODEL_NAMES = (
 
 _HAAR_TRIPLE = (HAAR_NONLACUNARY, HAAR_LACUNARY, HAAR_LACUNARY)
 _SMOOTH_TRIPLE = (SMOOTH_NONLACUNARY, SMOOTH_LACUNARY, SMOOTH_LACUNARY)
+_ORACLE_CAP = 64  # rectangles oracle_model_operator accepts
 
 
 @dataclass(frozen=True)
@@ -126,16 +128,16 @@ def bilinear_block(spec: BilinearBlockSpec, v1: GridFunction1D,
     out = np.zeros(grid.n_points)
     if not qs:
         return GridFunction1D(grid, out)
-    c1 = all_coefficients(v1, qs, f1)
-    c2 = all_coefficients(v2, qs, f2)
+    c1 = all_coefficients(v1, qs, f1).tolist()
+    c2 = all_coefficients(v2, qs, f2).tolist()
     absolute = spec.variant == "localized_nonlac"
-    for q in qs:
-        w = c1[q] * c2[q] / math.ldexp(1.0, q.k) ** 0.5
+    for q, a1, a2 in zip(qs, c1, c2):
+        w = a1 * a2 / math.ldexp(1.0, q.k) ** 0.5
         if w == 0.0:
             continue
         member = f3.member(q, grid)
         if absolute:
-            out += (abs(c1[q]) * abs(c2[q]) / math.ldexp(1.0, q.k) ** 0.5
+            out += (abs(a1) * abs(a2) / math.ldexp(1.0, q.k) ** 0.5
                     * np.abs(member))
         else:
             out += w * member
@@ -173,6 +175,8 @@ class ModelOperatorSpec:
     def __post_init__(self):
         if self.which not in MODEL_NAMES:
             raise ConfigError(f"unknown model {self.which!r}")
+        if self.sharp1 < 0 or self.sharp2 < 0:
+            raise ConfigError("scale offsets must be nonnegative")
         object.__setattr__(self, "rectangles", RectangleTable.of(self.rectangles))
         if not self.rectangles:
             raise ConfigError("empty rectangle collection")
@@ -245,7 +249,7 @@ def _block_coefficients(inner: Sequence[DyadicInterval], families: tuple,
     scale needed.  B_{.,I} is the block at scale k_I + sharp if fixed
     (fixed_scale), else the running sum of the blocks from the top scale
     down to k_I (local).  Each outer scale reads the coefficients of all
-    its intervals from its one block.
+    its intervals from its one block, with one all_coefficients call.
     """
     def scale_block(k: int) -> np.ndarray:
         qs = tuple(q for q in inner if q.k == k)
@@ -262,9 +266,8 @@ def _block_coefficients(inner: Sequence[DyadicInterval], families: tuple,
             while inner_scales and inner_scales[0] >= s:
                 block = block + scale_block(inner_scales.pop(0))
         at = np.flatnonzero(ks == s).tolist()
-        coeffs = all_coefficients(GridFunction1D(v1.grid, block),
-                                  [intervals[i] for i in at], outer)
-        out[at] = [coeffs[intervals[i]] for i in at]
+        out[at] = all_coefficients(GridFunction1D(v1.grid, block),
+                                   [intervals[i] for i in at], outer)
     return out
 
 
@@ -286,9 +289,8 @@ def _rectangle_weights(spec: ModelOperatorSpec, f1, f2, g1, g2):
                                     spec.x_outer[0], xs, f1, f2)
                 / np.array([math.ldexp(1.0, I.k) ** 0.5 for I in xs]))
     if spec.paraproduct_y:
-        g1c = all_coefficients(g1, ys, spec.y_para[0])
-        g2c = all_coefficients(g2, ys, spec.y_para[1])
-        y_factor = np.array([g1c[J] * g2c[J] for J in ys])
+        y_factor = (all_coefficients(g1, ys, spec.y_para[0])
+                    * all_coefficients(g2, ys, spec.y_para[1]))
         norm_y = 1.0 / np.array([math.ldexp(1.0, J.k) for J in ys])
         h_y_family, out_y_family = spec.y_para[1], spec.y_para[2]
     else:
@@ -322,15 +324,15 @@ def model_operator(spec: ModelOperatorSpec, f1: GridFunction1D, f2: GridFunction
     return GridFunction2D(gx, gy, (x_members.T @ c) @ y_members)
 
 
-def oracle_model_operator(spec: ModelOperatorSpec, f1, f2, g1, g2, h,
-                          cap: int = 64) -> GridFunction2D:
+def oracle_model_operator(spec: ModelOperatorSpec, f1, f2, g1, g2, h
+                          ) -> GridFunction2D:
     """Naive nested-loop evaluation with no shared subexpressions.
 
     Every inner product is recomputed by direct quadrature against a freshly
     sampled member; the only purpose is to cross-check model_operator.
     """
-    if len(spec.rectangles) > cap:
-        raise ConfigError(f"oracle capped at {cap} rectangles")
+    if len(spec.rectangles) > _ORACLE_CAP:
+        raise ConfigError(f"oracle capped at {_ORACLE_CAP} rectangles")
     gx, gy = h.grid_x, h.grid_y
     wx, wy = float(gx.cell_width), float(gy.cell_width)
 
@@ -421,10 +423,10 @@ def local_size_bound_check(block_spec: BilinearBlockSpec, v1: GridFunction1D,
                outer, lacunary=False).value
 
     meeting = [q for q in block_spec.collection if _meets(q, level_set)]
-    c1, c2 = all_coefficients(v1, meeting, f1), all_coefficients(v2, meeting, f2)
-    s1 = max((abs(c1[q]) / math.ldexp(1.0, q.k) ** 0.5 for q in meeting), default=0.0)
-    s2 = max((abs(c2[q]) / math.ldexp(1.0, q.k) ** 0.5 for q in meeting), default=0.0)
-    return lhs, s1 * s2
+    norms = np.array([math.ldexp(1.0, q.k) ** 0.5 for q in meeting])
+    s1 = np.max(np.abs(all_coefficients(v1, meeting, f1)) / norms, initial=0.0)
+    s2 = np.max(np.abs(all_coefficients(v2, meeting, f2)) / norms, initial=0.0)
+    return lhs, float(s1 * s2)
 
 
 def energy_localization_check(block_spec: BilinearBlockSpec, v1: GridFunction1D,
@@ -455,8 +457,7 @@ def energy_localization_check(block_spec: BilinearBlockSpec, v1: GridFunction1D,
     lhs_all = _block_coefficients(block_spec.collection, block_spec.families,
                                   False, 0, HAAR_NONLACUNARY, outer, v1, v2)
     out: list[str] = []
-    for p, lhs in zip(outer, lhs_all.tolist()):
-        rhs = rhs_all[p]
+    for p, lhs, rhs in zip(outer, lhs_all.tolist(), rhs_all.tolist()):
         if third_lac:
             if abs(lhs - rhs) > tol:
                 out.append(f"{p}: |{lhs} - {rhs}| > {tol}")

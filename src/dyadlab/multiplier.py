@@ -40,6 +40,7 @@ __all__ = [
     "special_symbol_cascade",
     "leibniz_check",
     "mother_phi_hat",
+    "mother_psi_hat",
     "psi_hat_band",
     "phi_hat_band",
     "usable_bands",

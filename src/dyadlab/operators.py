@@ -115,9 +115,10 @@ def square_1d(f: GridFunction1D, collection: Sequence[DyadicInterval],
     """Discretized Littlewood-Paley square function over the collection."""
     if not family.lacunary:
         raise ConfigError("square function requires a lacunary family")
+    collection = tuple(collection)
     coeffs = all_coefficients(f, collection, family)
     acc = np.zeros(f.grid.n_points)
-    for iv, c in coeffs.items():
+    for iv, c in zip(collection, coeffs.tolist()):
         a, b = f.grid.cell_range(iv)
         acc[a:b] += abs(c) ** 2 / math.ldexp(1.0, iv.k)
     return GridFunction1D(f.grid, np.sqrt(acc))

@@ -32,6 +32,7 @@ __all__ = [
     "Tree",
     "TreeDecomposition",
     "weak_l1_norm",
+    "interval_ratios",
     "size",
     "energy",
     "bmo_norm",

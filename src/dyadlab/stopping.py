@@ -24,14 +24,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
-                     GridFunction2D, RectangleTable, _level_below, _times_pow2)
+                     GridFunction2D, RectangleTable, _interval_table,
+                     _level_below, _times_pow2)
 from .errors import ConfigError
 from .models import BilinearBlockSpec, bilinear_block
 from .operators import (HybridKind, hybrid_2d, maximal_function,
                         maximal_function_2d)
 from .size_energy import TreeDecomposition, stopping_time_maximal
-from .wavelets import (CoefficientSequence, HAAR_LACUNARY, HAAR_NONLACUNARY,
-                       SMOOTH_LACUNARY, SMOOTH_NONLACUNARY)
+from .wavelets import CoefficientSequence, HAAR_LACUNARY, HAAR_NONLACUNARY
 
 __all__ = [
     "LevelSetDecomposition1D",
@@ -73,29 +73,6 @@ def _max_levels(vstar: np.ndarray, c: float, weight: float) -> np.ndarray:
     pos = vstar > 0
     out[pos] = _level_below(vstar[pos], c, weight)
     return out
-
-
-def _interval_table(intervals: Sequence[DyadicInterval], grid: Grid1D
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The intervals' scales and positions as int64 arrays.
-
-    Every interval must be a union of grid cells inside the box; the first
-    one that is not raises its cell_range error, ResolutionError or
-    DomainError.
-    """
-    try:
-        ks = np.array([iv.k for iv in intervals], dtype=np.int64)
-        ns = np.array([iv.n for iv in intervals], dtype=np.int64)
-    except OverflowError:  # an interval beyond int64 lies off the grid
-        for iv in intervals:
-            grid.cell_range(iv)
-        raise
-    ok = (ks >= -grid.res_exp) & (ks <= grid.box_exp) & (ns >= 0)
-    # the box holds 2^(box_exp - k) intervals of scale k
-    ok[ok] = ns[ok] < np.left_shift(1, grid.box_exp - ks[ok])
-    if not ok.all():
-        grid.cell_range(intervals[int(np.argmin(ok))])  # raises
-    return ks, ns
 
 
 def _scale_rows(samples: np.ndarray, res_exp: int, ks: np.ndarray,
@@ -242,22 +219,21 @@ class LevelSetDecomposition2D:
 def level_set_decomposition_2d(rectangles: RectangleTable | Sequence[DyadicRectangle],
                                h: GridFunction2D, e_prime: GridFunction2D,
                                c3: float, s: float,
-                               fraction: Fraction = Fraction(1, 100),
-                               flavor: str = "haar") -> LevelSetDecomposition2D:
-    """Bucket rectangles by the double square function of h and of chi_{E'}.
+                               fraction: Fraction = Fraction(1, 100)
+                               ) -> LevelSetDecomposition2D:
+    """Bucket rectangles by the Haar double square functions of h and of
+    chi_{E'}.
 
     k1 is the maximal level with |R & {SSh > c3 2^{k1} ||h||_s}| > |R|/100,
-    and k2 the analogue for the Haar double square function of chi_{E'}
-    thresholded by its own L^s norm.  h must be nonzero.  The rectangles are
-    read as one RectangleTable; the qualifying values come one shape of it at
-    a time, from one np.partition over the shape's blocks of each double
-    square function, gathered as rows.
+    and k2 the analogue for chi_{E'} thresholded by its own L^s norm.  h must
+    be nonzero.  The rectangles are read as one RectangleTable; the
+    qualifying values come one shape of it at a time, from one np.partition
+    over the shape's blocks of each double square function, gathered as rows.
     """
     if float(np.max(np.abs(h.samples))) == 0.0:
         raise ConfigError("h must be nonzero")
     table = RectangleTable.of(rectangles)
-    kind = HybridKind.SS_H if flavor == "haar" else HybridKind.SS
-    ss_h = hybrid_2d(h, kind, table)
+    ss_h = hybrid_2d(h, HybridKind.SS_H, table)
     ss_e = hybrid_2d(e_prime, HybridKind.SS_H, table)
     w1 = h.norm(s)
     w2 = e_prime.norm(s)
@@ -322,8 +298,9 @@ def _pair_union(ax_vals: np.ndarray, wx: float, cx: float,
     return out
 
 
-def _global_block(spec_collection, families, v1, v2):
-    spec = BilinearBlockSpec(tuple(spec_collection), families, "global")
+def _global_block(spec_collection, v1, v2):
+    spec = BilinearBlockSpec(tuple(spec_collection),
+                             (HAAR_NONLACUNARY, HAAR_LACUNARY, HAAR_LACUNARY))
     return bilinear_block(spec, v1, v2)
 
 
@@ -337,21 +314,19 @@ def build_exceptional_set(f1: GridFunction1D, f2: GridFunction1D,
                           s: float = 1.5, p: float = 2.0, t: float = 1.0,
                           inner_x: Sequence[DyadicInterval] = (),
                           inner_y: Sequence[DyadicInterval] = (),
-                          block_families=None,
-                          ss_flavor: str = "haar",
                           h_coefficients: np.ndarray | None = None) -> ExceptionalSet:
     """Construct Omega, Enl(Omega) and E' for one of the four localization modes.
 
     fixed_scale: four product ladders pairing M f_i against M g_j with the
       set-measure weights |F_i|, |G_j|.
     flag0: the f1/g1 and f2/g2 ladders plus a ladder of maximal functions of
-      the global bilinear blocks, weighted by their L1 norms.
+      the global Haar bilinear blocks, weighted by their L1 norms.
     linf_fixed: the single f1/g1 ladder with L^p-norm weights.
     linf_easy: a single ladder of global-block maximal functions with L^t
       weights.
-    Omega2 is the square-function level set {SS h > C3 ||h||_s} throughout,
-    over the given rectangles; h_coefficients, when given, are h's rectangle
-    coefficients for the SS kind's families, in rectangle order, and
+    Omega2 is the Haar square-function level set {SS h > C3 ||h||_s}
+    throughout, over the given rectangles; h_coefficients, when given, are
+    h's Haar lacunary rectangle coefficients, in rectangle order, and
     hybrid_2d uses them instead of computing its own.  Omega1, Omega2, Omega
     and Enl(Omega) hold bool masks; E' keeps the values of E off Enl(Omega).
     Non-finite or non-positive constants raise ConfigError.
@@ -361,28 +336,21 @@ def build_exceptional_set(f1: GridFunction1D, f2: GridFunction1D,
     c1, c2, c3 = constants
     if e_set.integral() <= 0:
         raise ConfigError("E must have positive measure")
-    mf1, mf2 = maximal_function(f1), maximal_function(f2)
-    mg1, mg2 = maximal_function(g1), maximal_function(g2)
-    if weights is None:
-        wf1 = GridFunction1D(f1.grid, (f1.samples != 0).astype(float)).integral()
-        wf2 = GridFunction1D(f2.grid, (f2.samples != 0).astype(float)).integral()
-        wg1 = GridFunction1D(g1.grid, (g1.samples != 0).astype(float)).integral()
-        wg2 = GridFunction1D(g2.grid, (g2.samples != 0).astype(float)).integral()
-    else:
-        wf1, wf2, wg1, wg2 = weights
-
-    a1, a2 = mf1.samples, mf2.samples
-    b1, b2 = mg1.samples, mg2.samples
+    a1, a2, b1, b2 = (maximal_function(v).samples for v in (f1, f2, g1, g2))
+    if weights is None:  # the measures of the supports
+        weights = [GridFunction1D(v.grid, (v.samples != 0).astype(float)).integral()
+                   for v in (f1, f2, g1, g2)]
+    wf1, wf2, wg1, wg2 = weights
+    if mode in ("flag0", "linf_easy"):
+        bx = _global_block(inner_x, f1, f2)
+        by = _global_block(inner_y, g1, g2)
+        mbx, mby = maximal_function(bx), maximal_function(by)
     if mode == "fixed_scale":
         mask = (_pair_union(a1, wf1, c1, b1, wg1, c2)
                 | _pair_union(a2, wf2, c1, b2, wg2, c2)
                 | _pair_union(a1, wf1, c1, b2, wg2, c2)
                 | _pair_union(a2, wf2, c1, b1, wg1, c2))
     elif mode == "flag0":
-        fams = block_families or (HAAR_NONLACUNARY, HAAR_LACUNARY, HAAR_LACUNARY)
-        bx = _global_block(inner_x, fams, f1, f2)
-        by = _global_block(inner_y, fams, g1, g2)
-        mbx, mby = maximal_function(bx), maximal_function(by)
         mask = (_pair_union(a1, wf1, c1, b1, wg1, c2)
                 | _pair_union(a2, wf2, c1, b2, wg2, c2)
                 | _pair_union(mbx.samples, bx.norm(1), c1,
@@ -390,10 +358,6 @@ def build_exceptional_set(f1: GridFunction1D, f2: GridFunction1D,
     elif mode == "linf_fixed":
         mask = _pair_union(a1, f1.norm(p), c1, b1, g1.norm(p), c2)
     elif mode == "linf_easy":
-        fams = block_families or (HAAR_NONLACUNARY, HAAR_LACUNARY, HAAR_LACUNARY)
-        bx = _global_block(inner_x, fams, f1, f2)
-        by = _global_block(inner_y, fams, g1, g2)
-        mbx, mby = maximal_function(bx), maximal_function(by)
         mask = _pair_union(mbx.samples, bx.norm(t), c1,
                            mby.samples, by.norm(t), c2)
     else:
@@ -402,8 +366,7 @@ def build_exceptional_set(f1: GridFunction1D, f2: GridFunction1D,
     omega1 = GridFunction2D(h.grid_x, h.grid_y, mask)
     h_norm = h.norm(s)
     if rectangles:
-        kind = HybridKind.SS_H if ss_flavor == "haar" else HybridKind.SS
-        ss = hybrid_2d(h, kind, rectangles, coefficients=h_coefficients)
+        ss = hybrid_2d(h, HybridKind.SS_H, rectangles, coefficients=h_coefficients)
         omega2_mask = ss.samples > c3 * h_norm
     else:
         omega2_mask = np.zeros_like(mask)

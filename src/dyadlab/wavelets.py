@@ -7,6 +7,9 @@ The lacunary smooth profile is a modulated Gaussian whose spectrum sits inside
 the annulus [1/(4|I|), 4/|I|]; the non-lacunary one concentrates in the ball
 of radius 1/(4|I|).  Frequency localization is approximate by necessity and is
 quantified by band_energy_fraction.
+
+all_coefficients and all_coefficients_2d, the 1D and 2D coefficient kernels,
+return arrays in collection order; coefficient_naive is their reference.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
-                     RectangleTable)
+                     RectangleTable, _check_intervals, _interval_table)
 from .errors import ConfigError, DomainError, ResolutionError
 
 __all__ = [
@@ -30,12 +33,11 @@ __all__ = [
     "SMOOTH_NONLACUNARY",
     "CoefficientSequence",
     "haar_eval",
-    "coefficient",
     "coefficient_naive",
     "all_coefficients",
+    "all_coefficients_2d",
     "smooth_bump",
     "band_energy_fraction",
-    "haar_pyramid",
     "haar_pyramid_2d",
     "haar_gather_2d",
     "block_sums",
@@ -205,15 +207,6 @@ def block_sums(a: np.ndarray, axis: int, levels: int, first: int = 0
     return out
 
 
-def haar_pyramid(f: GridFunction1D) -> dict[int, np.ndarray]:
-    """Block sums of f over all dyadic cells: scale k -> array of sums over
-    [n*2^k, (n+1)*2^k), n running over the box.  Basis of the fast Haar path."""
-    g = f.grid
-    sums = block_sums(f.samples.astype(float, copy=False)
-                      * math.ldexp(1.0, -g.res_exp), 0, g.box_exp + g.res_exp)
-    return {i - g.res_exp: s for i, s in enumerate(sums)}
-
-
 def haar_pyramid_2d(h, k_min: tuple[int, int] | None = None
                     ) -> dict[tuple[int, int], np.ndarray]:
     """Block integrals of a 2D grid function over all dyadic rectangles, or
@@ -258,46 +251,41 @@ def haar_gather_2d(pyramid: Mapping[tuple[int, int], np.ndarray],
     return 2.0 ** (-(kx + ky) / 2.0) * total
 
 
-def coefficient(f: GridFunction1D, interval: DyadicInterval,
-                family: CutoffFamily,
-                pyramid: Mapping[int, np.ndarray] | None = None) -> float:
-    """<f, member on I>; for Haar kinds this uses exact block sums."""
-    if not family.haar:
-        return coefficient_naive(f, interval, family)
-    g = f.grid
-    a, b = g.cell_range(interval)  # validates resolution and domain
-    if family.lacunary and interval.k - 1 < -g.res_exp:
-        raise ResolutionError(
-            f"halves of {interval} not resolved at 2^-{g.res_exp}")
-    amp = 2.0 ** (-interval.k / 2.0)
-    if pyramid is not None:
-        if family.lacunary:
-            below = pyramid[interval.k - 1]
-            return amp * float(below[2 * interval.n] - below[2 * interval.n + 1])
-        return amp * float(pyramid[interval.k][interval.n])
-    w = float(g.cell_width)
-    if family.lacunary:
-        mid = (a + b) // 2
-        return amp * w * float(f.samples[a:mid].sum() - f.samples[mid:b].sum())
-    return amp * w * float(f.samples[a:b].sum())
+def _stacked_members(family: CutoffFamily, grid: Grid1D, k: int,
+                     positions: np.ndarray) -> np.ndarray:
+    """Rows: the members on the intervals (k, n), n in positions."""
+    return np.array([family.member(DyadicInterval(k, int(n)), grid)
+                     for n in positions])
 
 
 def all_coefficients(f: GridFunction1D, collection: Iterable[DyadicInterval],
-                     family: CutoffFamily) -> CoefficientSequence:
-    """Coefficients over a whole collection; Haar kinds share one pyramid."""
-    collection = tuple(collection)
-    pyramid = haar_pyramid(f) if family.haar else None
-    data = {iv: coefficient(f, iv, family, pyramid) for iv in collection}
-    return CoefficientSequence(data, collection)
+                     family: CutoffFamily) -> np.ndarray:
+    """<f, member on I> for every interval I of the collection, in order.
 
-
-def _stacked_members(family: CutoffFamily, grid: Grid1D, k: int,
-                     positions: np.ndarray) -> np.ndarray:
-    """Rows: the members on the intervals (k, n), n in positions, times the
-    cell width."""
-    w = float(grid.cell_width)
-    return np.array([family.member(DyadicInterval(k, int(n)), grid) * w
-                     for n in positions])
+    One scale k at a time.  Haar kinds are exact: from one block_sums pyramid
+    of the integrals b of f, a member reads 2^(-k/2) b[n], or 2^(-k/2)
+    (b[2n] - b[2n+1]) one scale down if lacunary.  Any other kind is the
+    quadrature of f against the scale's members, stacked as rows.  The first
+    interval, or lacunary Haar half, off the grid raises its cell_range error.
+    """
+    g = f.grid
+    ks, ns = _interval_table(tuple(collection), g)
+    lac = int(family.haar and family.lacunary)
+    _check_intervals(ks - lac, ns << lac, g)  # a lacunary Haar member reads halves
+    out = np.zeros(ks.size)
+    if family.haar and ks.size:
+        sums = block_sums(f.samples.astype(float, copy=False)
+                          * math.ldexp(1.0, -g.res_exp), 0,
+                          int(ks.max()) - lac + g.res_exp)
+    for k in np.unique(ks).tolist():
+        idx = np.flatnonzero(ks == k)
+        if not family.haar:
+            rows = f.samples * _stacked_members(family, g, k, ns[idx])
+            out[idx] = np.sum(rows, axis=1) * float(g.cell_width)
+            continue
+        b, n = sums[k - lac + g.res_exp], ns[idx] << lac
+        out[idx] = 2.0 ** (-k / 2.0) * (b[n] - b[n + 1] if lac else b[n])
+    return out
 
 
 def _scale_slices(ks: np.ndarray) -> dict[int, slice]:
@@ -318,7 +306,8 @@ def all_coefficients_2d(h, rectangles: RectangleTable | Sequence[DyadicRectangle
     Any other pair is the direct quadrature (Mx h My^T)[I, J] of each shape,
     with the members on the table's distinct intervals of a scale stacked as
     the rows of Mx and My (cell widths included) and h contracted once per x
-    scale.
+    scale; there the first distinct x or y interval that is not a union of
+    grid cells inside the box raises its cell_range error.
     """
     table = RectangleTable.of(rectangles)
     groups = table.groups
@@ -332,11 +321,15 @@ def all_coefficients_2d(h, rectangles: RectangleTable | Sequence[DyadicRectangle
             out[idx] = haar_gather_2d(pyr, s, nx, ny, family_x.lacunary,
                                       family_y.lacunary)
         return out
+    gx, gy = h.grid_x, h.grid_y
+    _check_intervals(table.x_k, table.x_n, gx)
+    _check_intervals(table.y_k, table.y_n, gy)
+    wx, wy = float(gx.cell_width), float(gy.cell_width)
     ys = _scale_slices(table.y_k)
-    my = {ky: _stacked_members(family_y, h.grid_y, ky, table.y_n[sy])
+    my = {ky: _stacked_members(family_y, gy, ky, table.y_n[sy]) * wy
           for ky, sy in ys.items()}
     for kx, sx in _scale_slices(table.x_k).items():
-        part = _stacked_members(family_x, h.grid_x, kx, table.x_n[sx]) @ h.samples
+        part = (_stacked_members(family_x, gx, kx, table.x_n[sx]) * wx) @ h.samples
         for (shape_kx, ky), (idx, _, _) in groups.items():
             if shape_kx == kx:
                 out[idx] = (part @ my[ky].T)[table.x_inverse[idx] - sx.start,

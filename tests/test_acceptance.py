@@ -22,8 +22,8 @@ from dyadlab.size_energy import (check_stopping_time_properties, energy,
 from dyadlab.stopping import (level_decomposition_1d, sparsity_check_1d,
                               sparsity_check_2d)
 from dyadlab.wavelets import (CoefficientSequence, HAAR_LACUNARY,
-                              HAAR_NONLACUNARY, coefficient, coefficient_naive,
-                              haar_pyramid)
+                              HAAR_NONLACUNARY, all_coefficients,
+                              coefficient_naive)
 
 
 def _report(number: int, name: str, passed: bool, detail: str) -> None:
@@ -151,11 +151,10 @@ def test_criterion_5_transforms():
     grid = Grid1D(0, 8)
     rng = _rng(5)
     f = GridFunction1D(grid, rng.standard_normal(grid.n_points))
-    pyr = haar_pyramid(f)
+    ivs = enumerate_dyadic(grid, 1 - grid.res_exp, 0)
     worst_haar = 0.0
-    for iv in enumerate_dyadic(grid, 1 - grid.res_exp, 0):
-        for fam in (HAAR_LACUNARY, HAAR_NONLACUNARY):
-            fast = coefficient(f, iv, fam, pyr)
+    for fam in (HAAR_LACUNARY, HAAR_NONLACUNARY):
+        for iv, fast in zip(ivs, all_coefficients(f, ivs, fam).tolist()):
             worst_haar = max(worst_haar,
                              abs(fast - coefficient_naive(f, iv, fam)))
     n = 64

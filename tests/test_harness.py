@@ -215,6 +215,28 @@ def test_cli_rejects_non_finite_constants_in_a_config_file(tmp_path, capsys):
     assert "max_ratio" not in captured.out
 
 
+@pytest.mark.parametrize("model_lines", [
+    "inner_depth = -3",
+    "sharp1 = -1",
+    "sharp2 = -5",
+    "name = flag_sharp_flag_sharp\nsharp1 = 1",
+    "name = flag_sharp_paraproduct\nsharp2 = 2",
+    "name = flag0_flag_sharp\nsharp1 = 1",
+    "gap = 3",
+])
+def test_cli_rejects_bad_model_fields(model_lines, tmp_path, capsys):
+    """Negative depths and offsets, a fixed-scale side at offset 0 in a
+    weak-type sweep (the Haar form is identically zero there) and the
+    removed gap field exit 2 with a message and no traceback."""
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("[grid]\nbox_exp = 0\nres_exp = 7\n[run]\ntrials = 1\n"
+                   f"[model]\ndepth = 4\n{model_lines}\n")
+    assert cli_main(["weaktype", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert "Traceback" not in captured.err and "max_ratio" not in captured.out
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["oracle", "--seed", "1", "--trials", "2"]) == 0
     out = capsys.readouterr().out

@@ -20,7 +20,7 @@ from dyadlab.stopping import level_set_decomposition_2d
 from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
                               SMOOTH_NONLACUNARY, CoefficientSequence,
                               all_coefficients, all_coefficients_2d,
-                              coefficient_naive, haar_pyramid)
+                              coefficient_naive)
 
 G = Grid1D(0, 6)
 UNIT = DyadicInterval(0, 0)
@@ -323,6 +323,32 @@ def test_model_spec_validation():
     with pytest.raises(ConfigError):
         ModelOperatorSpec("flag0_flag0", rect, (UNIT,), (UNIT,),
                           x_outer=(HAAR_LACUNARY, HAAR_LACUNARY, HAAR_LACUNARY))
+    for sharps in ((-1, 0), (0, -5)):  # as BilinearBlockSpec refuses them
+        with pytest.raises(ConfigError):
+            ModelOperatorSpec.haar("flag_sharp_flag_sharp", rect, (UNIT,),
+                                   (UNIT,), *sharps)
+
+
+@pytest.mark.parametrize("grid", [Grid1D(0, 5), Grid1D(1, 6), Grid1D(2, 4)])
+def test_haar_fixed_scale_block_coefficients_vanish_at_offset_0(grid):
+    """At offset 0 each lacunary member of a Haar fixed-scale block meets the
+    indicator of its own interval with mean zero and misses every other
+    interval of its scale, so every block coefficient is exactly 0.0, and
+    so is a fixed-scale model at sharp 0.  At offset 1 they are not all 0.
+    The inner collections come in any order, with repeats."""
+    rng = np.random.default_rng(grid.res_exp)
+    pool = enumerate_dyadic(grid, 1 - grid.res_exp, grid.box_exp)
+    inner = [pool[int(i)] for i in rng.integers(0, len(pool), 2 * len(pool))]
+    v1, v2 = (GridFunction1D(grid, rng.standard_normal(grid.n_points))
+              for _ in range(2))
+    for families in (HAAR_TRIPLE, (HAAR_LACUNARY, HAAR_NONLACUNARY, HAAR_LACUNARY),
+                     (HAAR_LACUNARY,) * 3):
+        zero = models._block_coefficients(inner, families, True, 0,
+                                          HAAR_NONLACUNARY, pool, v1, v2)
+        assert zero.tolist() == [0.0] * len(pool)
+        one = models._block_coefficients(inner, families, True, 1,
+                                         HAAR_NONLACUNARY, pool, v1, v2)
+        assert np.count_nonzero(one) > len(pool) // 4
 
 
 def test_multilinearity_in_each_slot():
@@ -344,10 +370,10 @@ def _haar_block_outer_coeffs_reference(inner, families, outer_intervals, v1, v2,
                                        mode, sharp=0):
     """All <B_{.,I}(v1, v2), ind_I> for Haar families by the scatter of each
     inner member into its scale's array; the 'local' cutoff |Q| >= |I| is a
-    cumulative sum over scales, read through one Haar pyramid per scale."""
+    cumulative sum over scales, read from pairwise block sums per scale."""
     grid = v1.grid
-    c1 = all_coefficients(v1, inner, families[0])
-    c2 = all_coefficients(v2, inner, families[1])
+    c1 = dict(zip(inner, all_coefficients(v1, inner, families[0]).tolist()))
+    c2 = dict(zip(inner, all_coefficients(v2, inner, families[1]).tolist()))
     contrib = {}
     for q in inner:
         w = c1[q] * c2[q] / math.ldexp(1.0, q.k) ** 0.5
@@ -378,10 +404,12 @@ def _haar_block_outer_coeffs_reference(inner, families, outer_intervals, v1, v2,
             needed[s] = running.copy()
     out = {}
     for s in outer_scales:
-        pyr = haar_pyramid(GridFunction1D(grid, needed[s]))
+        b = needed[s] * math.ldexp(1.0, -grid.res_exp)
+        for _ in range(s + grid.res_exp):
+            b = b[0::2] + b[1::2]
         for iv in outer_intervals:
             if iv.k == s:
-                out[iv] = 2.0 ** (-s / 2.0) * float(pyr[s][iv.n])
+                out[iv] = 2.0 ** (-s / 2.0) * float(b[iv.n])
     return out
 
 
@@ -496,12 +524,15 @@ def _energy_violations_reference(pairs, outer, third_lac, tol):
 def _split_tolerance(gaps):
     """A negative tolerance -d with d at the middle of the widest jump
     between the sorted gaps |rhs| - |lhs|, so that the non-lacunary check
-    flags the intervals below d and passes those above it."""
+    flags the intervals below d and passes those above it; None when d is
+    within 1e-12 of a gap, where rounding alone would decide the flag."""
     g = np.unique(np.round(gaps, 14))
     if g.size < 2:
-        return -0.5 * float(g[0])
-    j = int(np.argmax(np.diff(g)))
-    return -0.5 * float(g[j] + g[j + 1])
+        d = 0.5 * float(g[0])
+    else:
+        j = int(np.argmax(np.diff(g)))
+        d = 0.5 * float(g[j] + g[j + 1])
+    return -d if np.min(np.abs(np.asarray(gaps) - d)) > 1e-12 else None
 
 
 _LEVEL_POOL = enumerate_dyadic(Grid1D(0, 6), -3, 0)
@@ -563,7 +594,7 @@ def test_localization_checks_match_per_interval_references(
         tols = [1e-12]
         if not third_lac:
             tols.append(_split_tolerance([abs(r) - abs(l) for l, r in pairs]))
-        for tol in tols:
+        for tol in (t for t in tols if t is not None):
             msgs = energy_localization_check(spec, v1, v2, level, outer, tol)
             assert [m.split(": ")[0] for m in msgs] == [
                 str(p) for p in _energy_violations_reference(pairs, outer,
@@ -579,8 +610,8 @@ def _weights_reference(spec, f1, f2, g1, g2):
         spec.inner_x, spec.inner_x_families, spec.x_fixed_scale, spec.sharp1,
         spec.x_outer[0], xs, f1, f2)))
     if spec.paraproduct_y:
-        g1c = all_coefficients(g1, ys, spec.y_para[0])
-        g2c = all_coefficients(g2, ys, spec.y_para[1])
+        g1c = dict(zip(ys, all_coefficients(g1, ys, spec.y_para[0]).tolist()))
+        g2c = dict(zip(ys, all_coefficients(g2, ys, spec.y_para[1]).tolist()))
         y_factor = {J: g1c[J] * g2c[J] for J in ys}
         norm_y = {J: 1.0 / math.ldexp(1.0, J.k) for J in ys}
         h_y, out_y = spec.y_para[1], spec.y_para[2]

@@ -12,7 +12,8 @@ from dyadlab.operators import (HybridKind, estimate_operator_norm, hybrid_2d,
                                maximal_1d, maximal_function, maximal_function_2d,
                                square_1d)
 from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
-                              SMOOTH_NONLACUNARY, haar_pyramid, haar_pyramid_2d)
+                              SMOOTH_NONLACUNARY, all_coefficients,
+                              haar_pyramid_2d)
 
 
 def test_maximal_examples():
@@ -122,7 +123,8 @@ def test_grid_kernels_leave_their_input_alone():
     maximal_function_2d(h)
     maximal_function(f)
     haar_pyramid_2d(h)
-    haar_pyramid(f)
+    for family in (HAAR_LACUNARY, HAAR_NONLACUNARY):
+        all_coefficients(f, enumerate_dyadic(g, 1 - g.res_exp, g.box_exp), family)
     assert np.array_equal(h.samples, a) and np.array_equal(f.samples, a[0])
 
 

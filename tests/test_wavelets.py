@@ -13,8 +13,8 @@ from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
                               SMOOTH_NONLACUNARY, CoefficientSequence,
                               CutoffFamily, all_coefficients,
                               all_coefficients_2d, band_energy_fraction,
-                              coefficient, coefficient_naive, haar_eval,
-                              haar_gather_2d, haar_pyramid, haar_pyramid_2d,
+                              coefficient_naive, haar_eval,
+                              haar_gather_2d, haar_pyramid_2d,
                               smooth_bump)
 
 G = Grid1D(0, 6)
@@ -31,36 +31,86 @@ def test_haar_eval_values():
 
 def test_coefficient_examples():
     f = GridFunction1D.indicator(G, [UNIT])
-    assert coefficient(f, UNIT, HAAR_LACUNARY) == 0.0
-    assert coefficient(f, UNIT, HAAR_NONLACUNARY) == 1.0
+    assert all_coefficients(f, [UNIT], HAAR_LACUNARY)[0] == 0.0
+    assert all_coefficients(f, [UNIT], HAAR_NONLACUNARY)[0] == 1.0
     half = GridFunction1D.indicator(G, [DyadicInterval(-1, 0)])
-    assert coefficient(half, UNIT, HAAR_LACUNARY) == 0.5
+    assert all_coefficients(half, [UNIT], HAAR_LACUNARY)[0] == 0.5
 
 
-def test_coefficient_resolution_error():
-    g = Grid1D(0, 2)
-    f = GridFunction1D.zeros(g)
-    with pytest.raises(ResolutionError):
-        coefficient(f, DyadicInterval(-2, 0), HAAR_LACUNARY)
+FAMILIES = [HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY, SMOOTH_NONLACUNARY]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
+def test_coefficient_resolution_error(family):
+    """On a 2^-5 grid of [0, 1): a scale finer than the grid, a position
+    outside the box, a negative position and a scale coarser than the box
+    raise in every family, the finest scale only where its halves are read.
+    The bad interval sits between good ones, in 1D and on either axis of the
+    2D kernel's quadrature path."""
+    g = Grid1D(0, 5)
+    f = GridFunction1D(g, np.random.default_rng(0).standard_normal(g.n_points))
+    h = GridFunction2D(g, g, np.ones((g.n_points, g.n_points)))
+    finest = ResolutionError if family == HAAR_LACUNARY else None
+    cases = [(DyadicInterval(-7, 0), ResolutionError),
+             (DyadicInterval(-5, 0), finest),
+             (DyadicInterval(-2, 4), DomainError),
+             (DyadicInterval(-2, -4), DomainError),
+             (DyadicInterval(1, 0), DomainError)]
+    for bad, error in cases:
+        ivs = [UNIT, bad, DyadicInterval(-1, 1)]
+        rects = [DyadicRectangle(UNIT, UNIT), DyadicRectangle(bad, UNIT),
+                 DyadicRectangle(UNIT, bad)]
+        if error is None:
+            got = all_coefficients(f, ivs, family)
+            assert got[1] == coefficient_naive(f, bad, family)
+            all_coefficients_2d(h, rects, family, SMOOTH_NONLACUNARY)
+            continue
+        with pytest.raises(error):
+            all_coefficients(f, ivs, family)
+        with pytest.raises(error):
+            all_coefficients_2d(h, rects[:2], family, SMOOTH_NONLACUNARY)
+        with pytest.raises(error):
+            all_coefficients_2d(h, rects[::2], SMOOTH_NONLACUNARY, family)
 
 
 def test_all_coefficients_example():
     half = GridFunction1D.indicator(G, [DyadicInterval(-1, 0)])
     seq = all_coefficients(half, [UNIT, DyadicInterval(-1, 0)], HAAR_LACUNARY)
-    assert seq[UNIT] == 0.5
-    assert seq[DyadicInterval(-1, 0)] == 0.0
+    assert seq.tolist() == [0.5, 0.0]
     zero = all_coefficients(GridFunction1D.zeros(G), [UNIT], HAAR_NONLACUNARY)
-    assert all(v == 0.0 for _, v in zero.items())
+    assert zero.tolist() == [0.0]
+    assert all_coefficients(half, [], SMOOTH_LACUNARY).shape == (0,)
 
 
-def test_fast_pyramid_matches_naive():
-    rng = np.random.default_rng(3)
-    f = GridFunction1D(G, rng.standard_normal(G.n_points))
-    pyramid = haar_pyramid(f)
-    for family in (HAAR_LACUNARY, HAAR_NONLACUNARY):
-        for iv in enumerate_dyadic(G, 1 - G.res_exp, 0):
-            fast = coefficient(f, iv, family, pyramid)
-            assert fast == pytest.approx(coefficient_naive(f, iv, family), abs=1e-12)
+def _pyramid_read(f, iv, lacunary):
+    """The Haar coefficient of f on iv from pairwise block sums built here."""
+    b = f.samples * math.ldexp(1.0, -f.grid.res_exp)
+    for _ in range(iv.k - lacunary + f.grid.res_exp):
+        b = b[0::2] + b[1::2]
+    n = iv.n << lacunary
+    return 2.0 ** (-iv.k / 2.0) * (b[n] - b[n + 1] if lacunary else b[n])
+
+
+@given(st.integers(0, 2), st.integers(2, 5), st.sampled_from(FAMILIES),
+       st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_fast_pyramid_matches_naive(box, res, family, seed):
+    """The per-scale kernel on a random collection in any order, with
+    repeats, against one quadrature per interval; Haar reads are also == to
+    a pyramid read of their own."""
+    g = Grid1D(box, res)
+    rng = np.random.default_rng(seed)
+    f = GridFunction1D(g, rng.standard_normal(g.n_points))
+    lac = int(family.haar and family.lacunary)
+    ivs = enumerate_dyadic(g, lac - res, box)
+    collection = [ivs[int(i)]
+                  for i in rng.integers(0, len(ivs), rng.integers(0, len(ivs) + 8))]
+    got = all_coefficients(f, collection, family)
+    assert got.shape == (len(collection),)
+    for c, iv in zip(got.tolist(), collection):
+        assert abs(c - coefficient_naive(f, iv, family)) <= 1e-12
+        if family.haar:
+            assert c == _pyramid_read(f, iv, lac)
 
 
 def test_parseval_reconstruction():
@@ -68,8 +118,8 @@ def test_parseval_reconstruction():
     f = GridFunction1D(G, rng.standard_normal(G.n_points))
     wavelets = enumerate_dyadic(G, 1 - G.res_exp, 0)
     seq = all_coefficients(f, wavelets, HAAR_LACUNARY)
-    total = sum(v * v for _, v in seq.items())
-    total += coefficient(f, UNIT, HAAR_NONLACUNARY) ** 2
+    total = float(np.sum(seq * seq))
+    total += all_coefficients(f, [UNIT], HAAR_NONLACUNARY)[0] ** 2
     assert total == pytest.approx(f.norm(2) ** 2, abs=1e-10)
 
 
