@@ -41,7 +41,7 @@ from .errors import ConfigError
 from .size_energy import size
 from .wavelets import (CutoffFamily, CoefficientSequence, all_coefficients,
                        all_coefficients_2d, HAAR_LACUNARY, HAAR_NONLACUNARY,
-                       SMOOTH_LACUNARY, SMOOTH_NONLACUNARY)
+                       SMOOTH_LACUNARY, SMOOTH_NONLACUNARY, _table_members)
 
 __all__ = [
     "BilinearBlockSpec",
@@ -319,8 +319,8 @@ def model_operator(spec: ModelOperatorSpec, f1: GridFunction1D, f2: GridFunction
     hc = all_coefficients_2d(h, table, spec.x_outer[1], h_y_family)
     c = np.zeros((len(xs), len(ys)))
     np.add.at(c, (table.x_inverse, table.y_inverse), w * hc)
-    x_members = np.array([spec.x_outer[2].member(I, gx) for I in xs])
-    y_members = np.array([out_y_family.member(J, gy) for J in ys])
+    x_members = _table_members(spec.x_outer[2], gx, table.x_k, table.x_n)
+    y_members = _table_members(out_y_family, gy, table.y_k, table.y_n)
     return GridFunction2D(gx, gy, (x_members.T @ c) @ y_members)
 
 

@@ -7,10 +7,12 @@ symmetric representative: this makes the direct frequency-sum evaluation and
 the FFT convolution cascade two implementations of the same finite object.
 
 The two are kept independent on purpose, so that comparing them checks
-something.  The direct sum, which apply_multiplier runs at every N, takes one
-scale pair at a time, with an explicit O(N^2) convolution of the banded input
-spectra; the cascade (special_symbol_cascade, the check) convolves by FFT and
-sums over the low scale before the blocks meet h.
+something.  Both sum over the low scale k1 before the top scale meets h, but
+by different means.  The direct sum, which apply_multiplier runs at every N,
+convolves the banded input spectra by an explicit O(N^2) circulant sum, once
+per k1, and assembles the output in one sheared two-matmul product and one
+inverse 2D FFT; the cascade (special_symbol_cascade, the check) convolves by
+FFT and runs one 2D FFT pass per pair (k2, j2) of top scales.
 
 Band windows follow the usual smooth ladder: a mother low-pass window equal to
 1 on [-1, 1] and supported in [-2, 2]; the annulus window is the difference of
@@ -56,16 +58,11 @@ _CUTOFF = 1.9   # ... and vanishes from here on
 def _smooth_step(t: np.ndarray) -> np.ndarray:
     """1 at t <= _PLATEAU, 0 at t >= _CUTOFF, smooth monotone in between."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    out[t <= _PLATEAU] = 1.0
+    out = np.where(t <= _PLATEAU, 1.0, 0.0)
     mid = (t > _PLATEAU) & (t < _CUTOFF)
-    if np.any(mid):
-        u = (t[mid] - _PLATEAU) / (_CUTOFF - _PLATEAU)
-        def h(v):
-            with np.errstate(over="ignore", divide="ignore"):
-                return np.where(v > 0, np.exp(-1.0 / np.maximum(v, 1e-300)), 0.0)
-        num = h(1.0 - u)
-        out[mid] = num / (num + h(u))
+    u = (t[mid] - _PLATEAU) / (_CUTOFF - _PLATEAU)  # 0 < u < 1
+    num = np.exp(-1.0 / (1.0 - u))
+    out[mid] = num / (num + np.exp(-1.0 / u))
     return out
 
 
@@ -272,49 +269,56 @@ def _check_special(spec_a: SymbolSpec, spec_b: SymbolSpec):
                 "(phi, phi, psi) per axis")
 
 
-def _phases(n: int) -> np.ndarray:
-    j = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(j, np.arange(n)) / n)
-
-
-def _axis_pair_sum(a_types, pairs, u1h: np.ndarray, u2h: np.ndarray
-                   ) -> np.ndarray:
-    """T[m, c]: the completed symbol summed against the two input spectra
-    along their frequency-sum diagonal a + b = m (mod N), pair by pair.
+def _axis_sheared_sum(a_types, pairs, u1h: np.ndarray, u2h: np.ndarray
+                      ) -> np.ndarray:
+    """S[p, c]: the completed symbol summed against the two input spectra
+    along their frequency-sum diagonal a + b = m (mod N), sheared to
+    p = m + c (mod N).
 
     The symbol s[a, b, c] = sum over (k1, k2) of w1[a] w2[b] comp1[a+b]
-    d[c] psi3[a+b+c] meets the inputs only through a + b, so each pair
+    d[c] psi3[a+b+c] meets the inputs only through m = a + b, so a pair
     contributes comp1[m] conv[m] d[c] psi3[m+c], with conv the explicit
-    cyclic convolution of the banded spectra; conv vanishes outside
-    |m| < 3.8 2^k1 (see _completion_windows).
+    cyclic convolution of the k1-banded spectra; conv vanishes outside
+    |m| < 3.8 2^k1 (see _completion_windows).  conv depends on k1 alone and
+    every other factor on k2 alone, so each conv is built once and summed
+    over the admissible k1 of each k2, and each k2 window once:
+    S[p, c] = sum over k2 of psi3[p] d[c] (comp1 sum_k1 conv)[p - c].
+    Only nonzero factors are visited: a convolution runs over the support
+    of its first banded spectrum, and each k2 fills the entries with p - c
+    in the support of its low-scale sum and c in the support of d.
     """
     n = u1h.size
     xs = _sym_freqs(n).astype(float)
     m = np.arange(n)
-    diff = (m[None, :] - m[:, None]) % n  # [a, m] -> (m - a) mod N
-    sum2 = (m[:, None] + m[None, :]) % n  # [m, c] -> (m + c) mod N
-    t = np.zeros((n, n), dtype=complex)
-    for (k1, k2) in pairs:
+    conv = {}
+    for k1 in sorted({k1 for k1, _ in pairs}):
         v1 = _band_window(a_types[0], k1, xs) * u1h
         v2 = _band_window(a_types[1], k1, xs) * u2h
-        conv = v1 @ v2[diff]
+        supp = np.flatnonzero(v1)
+        conv[k1] = v1[supp] @ v2[(m - supp[:, None]) % n]  # [a, m] -> m - a
+    s = np.zeros((n, n), dtype=complex)
+    for k2 in sorted({k2 for _, k2 in pairs}):
         comp1, psi3 = _completion_windows(k2, xs)
         d = psi_hat_band(xs, k2)
-        t += (comp1 * conv)[:, None] * d[None, :] * psi3[sum2]
-    return t
+        low = comp1 * sum(conv[k1] for k1, top in pairs if top == k2)
+        r, c = np.flatnonzero(low)[:, None], np.flatnonzero(d)
+        p = (r + c) % n  # distinct (p, c) for distinct (r, c)
+        s[p, c] += psi3[p] * d[c] * low[r]
+    return s
 
 
 def _apply_direct(a: SymbolSpec, pairs, f1, f2, g1, g2, h) -> GridFunction2D:
-    """Direct frequency-sum evaluation, one scale pair at a time.
+    """Direct frequency-sum evaluation in two matmuls and one inverse FFT.
 
-    With e[x, a] e[x, b] = e[x, a + b], the x axis is the N x N product
-    E T_x of the phase matrix with `_axis_pair_sum`, and likewise for y;
-    the output is (E T_x o e) h^ (E T_y o e)^T.
+    With e[x, a] e[x, b] = e[x, a + b] and E[x, m] = e^{2 pi i x m / N},
+    each axis of the sum is (E T) o E = E S, with T[m, c] the symbol summed
+    along the diagonal a + b = m and S its shear S[p, c] = T[p - c, c]
+    (`_axis_sheared_sum`).  The output E Sx h^ Sy^T E^T, with
+    h^ = fft2(h) / N^2, is N^2 ifft2(Sx h^ Sy^T) = ifft2(Sx fft2(h) Sy^T).
     """
-    e = _phases(_grid_n(f1))
-    tx = _axis_pair_sum(a.x_types[:2], pairs, _fft1(f1), _fft1(f2))
-    ty = _axis_pair_sum(a.y_types[:2], pairs, _fft1(g1), _fft1(g2))
-    out = ((e @ tx) * e) @ _fft2(h) @ ((e @ ty) * e).T
+    sx = _axis_sheared_sum(a.x_types[:2], pairs, _fft1(f1), _fft1(f2))
+    sy = _axis_sheared_sum(a.y_types[:2], pairs, _fft1(g1), _fft1(g2))
+    out = np.fft.ifft2(sx @ np.fft.fft2(h.samples) @ sy.T)
     return GridFunction2D(h.grid_x, h.grid_y, out.real)
 
 
@@ -327,10 +331,13 @@ def apply_multiplier(a: SymbolSpec, b: SymbolSpec, f1: GridFunction1D,
     pairs realize the cross-scale (completed) part of the symbol product; at
     every N up to the cap of 512 the six-fold frequency sum is evaluated
     directly: the phases of the two inputs of an axis multiply to the phase
-    of their frequency sum, so per scale pair each axis needs only the
-    explicit cyclic convolution of its banded spectra, and no N^3 symbol is
-    built.  This path does no FFT convolution and does not sum over the low
-    scale, so special_symbol_cascade stays an independent check on it.
+    of their frequency sum, so each axis needs only the explicit cyclic
+    convolution of its banded spectra, once per low scale, and the windows
+    of each top scale, once; shearing the sum turns its phases into one
+    inverse 2D FFT after two matmuls, and no N^3 symbol is built.  The
+    explicit O(N^2) circulant convolution, against the cascade's FFT
+    convolution, and the sheared two-matmul assembly, against its one 2D FFT
+    pass per (k2, j2), keep special_symbol_cascade an independent check.
     tabulated pairs run the literal six-fold sum and are capped at N = 16.
     """
     n = _shared_grid_n(f1, f2, g1, g2, h)
@@ -368,8 +375,7 @@ def apply_multiplier(a: SymbolSpec, b: SymbolSpec, f1: GridFunction1D,
                     block = bv[i1, j1, i2, j2] * hh
                     c += np.roll(np.roll(w * block, (i1 + i2) % n, axis=0),
                                  (j1 + j2) % n, axis=1)
-    e = _phases(n)
-    out = e @ c @ e.T
+    out = n * n * np.fft.ifft2(c)
     return GridFunction2D(h.grid_x, h.grid_y, out.real)
 
 
@@ -517,26 +523,31 @@ def leibniz_check(alphas: tuple[float, float], betas: tuple[float, float],
     mid = GridFunction2D(h.grid_x, h.grid_y, inner.samples * h.samples)
     lhs = fractional_derivative(mid, (b1, b2)).norm(r)
 
+    # each distinct derivative and norm once: the sixteen terms share four
+    # derivatives of the f's, four of the g's and four of h
+    fx, gx = (f1, f2), (g1, g2)
+    dfx = {(i, o): fractional_derivative(fx[i], o) for i in (0, 1) for o in {a1, a1 + b1}}
+    dgy = {(i, o): fractional_derivative(gx[i], o) for i in (0, 1) for o in {a2, a2 + b2}}
+    dh = {o: fractional_derivative(h, o)
+          for o in {(hb1, hb2) for hb1 in (0.0, b1) for hb2 in (0.0, b2)}}
+    norms = {}
+
+    def norm(u, p):  # every u stays alive, so its id is a key
+        if (id(u), p) not in norms:
+            norms[id(u), p] = u.norm(p)
+        return norms[id(u), p]
+
     terms = []
-    idx = 0
     for xa in (0, 1):           # a1 onto f1 or f2
         for xb in ("f", "h"):   # b1 onto the same f or onto h
             for ya in (0, 1):
                 for yb in ("g", "h"):
-                    t = tuples[idx]
-                    idx += 1
-                    fx = [f1, f2]
-                    gx = [g1, g2]
-                    xakind = a1 + (b1 if xb == "f" else 0.0)
-                    yakind = a2 + (b2 if yb == "g" else 0.0)
-                    dfx = fractional_derivative(fx[xa], xakind)
-                    dgy = fractional_derivative(gx[ya], yakind)
-                    hb1 = b1 if xb == "h" else 0.0
-                    hb2 = b2 if yb == "h" else 0.0
-                    dh = fractional_derivative(h, (hb1, hb2))
-                    term = (dfx.norm(t.p1) * fx[1 - xa].norm(t.q1)
-                            * dgy.norm(t.p2) * gx[1 - ya].norm(t.q2)
-                            * dh.norm(t.s))
-                    terms.append(term)
+                    t = tuples[len(terms)]
+                    xo = a1 + (b1 if xb == "f" else 0.0)
+                    yo = a2 + (b2 if yb == "g" else 0.0)
+                    ho = (b1 if xb == "h" else 0.0, b2 if yb == "h" else 0.0)
+                    terms.append(norm(dfx[xa, xo], t.p1) * norm(fx[1 - xa], t.q1)
+                                 * norm(dgy[ya, yo], t.p2) * norm(gx[1 - ya], t.q2)
+                                 * norm(dh[ho], t.s))
     return LeibnizReport((a1, a2), (b1, b2), lhs, tuple(terms),
                          _grid_n(f1), 0, seed)

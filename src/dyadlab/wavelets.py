@@ -108,30 +108,44 @@ def haar_eval(interval: DyadicInterval, lacunary: bool, x) -> float:
     return amp if Fraction(x) < midpoint else -amp
 
 
-def _periodic_displacement(points: np.ndarray, center: float, period: float) -> np.ndarray:
-    d = (points - center) % period
-    d[d > period / 2] -= period
-    return d
-
-
 def smooth_bump(interval: DyadicInterval, lacunary: bool, grid: Grid1D,
                 decay: int = 10) -> np.ndarray:
     """L2-normalized smooth profile adapted to the interval, sampled on the grid."""
     if decay < 2:
         raise ConfigError("decay order must be >= 2")
-    length = float(interval.length)
-    center = float(interval.left) + length / 2.0
-    u = _periodic_displacement(grid.points(), center, float(grid.length)) / length
+    return _smooth_profiles(grid, interval.k, [interval.n], lacunary)[0]
+
+
+def _smooth_profiles(grid: Grid1D, k: int, positions: np.ndarray,
+                     lacunary: bool) -> np.ndarray:
+    """Rows: the smooth profiles on the intervals (k, n), n in positions,
+    each L2-normalized on the grid.
+
+    A lacunary profile has its envelope-weighted mean removed.  On a grid of
+    one or two cells that can cancel every sample, and such a profile has no
+    normalization: it raises ResolutionError.
+    """
+    length = math.ldexp(1.0, k)
+    centers = np.asarray(positions, dtype=float)[:, None] * length + length / 2.0
+    period = float(grid.length)
+    d = (grid.points()[None, :] - centers) % period  # periodic displacement
+    d[d > period / 2] -= period
+    u = d / length
     if lacunary:
         env = np.exp(-u * u / (2.0 * _SIGMA_LAC ** 2))
         vals = env * np.cos(2.0 * np.pi * _MODULATION * u)
         # envelope-weighted mean correction: exact vanishing of the grid mean
         # (the correction is ~exp(-2 pi^2 sigma^2 gamma^2) for well-contained
         # intervals, only the periodic wrap makes it noticeable)
-        vals -= (float(vals.sum()) / float(env.sum())) * env
+        vals -= (vals.sum(axis=1, keepdims=True) / env.sum(axis=1, keepdims=True)) * env
     else:
         vals = np.exp(-u * u / (2.0 * _SIGMA_NONLAC ** 2))
-    nrm = math.sqrt(float(np.sum(vals * vals)) * float(grid.cell_width))
+    nrm = np.sqrt(np.sum(vals * vals, axis=1, keepdims=True) * float(grid.cell_width))
+    if not (nrm > 0).all():
+        n = positions[int(np.argmin(nrm[:, 0] > 0))]
+        raise ResolutionError(
+            f"the smooth {'lacunary' if lacunary else 'non-lacunary'} member on "
+            f"{DyadicInterval(k, int(n))} vanishes on {grid}")
     return vals / nrm
 
 
@@ -253,7 +267,10 @@ def haar_gather_2d(pyramid: Mapping[tuple[int, int], np.ndarray],
 
 def _stacked_members(family: CutoffFamily, grid: Grid1D, k: int,
                      positions: np.ndarray) -> np.ndarray:
-    """Rows: the members on the intervals (k, n), n in positions."""
+    """Rows: the members on the intervals (k, n), n in positions; the smooth
+    ones in one array expression."""
+    if not family.haar:
+        return _smooth_profiles(grid, k, positions, family.lacunary)
     return np.array([family.member(DyadicInterval(k, int(n)), grid)
                      for n in positions])
 
@@ -295,6 +312,14 @@ def _scale_slices(ks: np.ndarray) -> dict[int, slice]:
     return {int(k): slice(int(a), int(b)) for k, a, b in zip(scales, first, ends)}
 
 
+def _table_members(family: CutoffFamily, grid: Grid1D, ks: np.ndarray,
+                   ns: np.ndarray) -> np.ndarray:
+    """Rows: the members on the intervals I(ks[i], ns[i]), sorted by scale,
+    stacked one scale at a time."""
+    return np.concatenate([_stacked_members(family, grid, k, ns[s])
+                           for k, s in _scale_slices(ks).items()])
+
+
 def all_coefficients_2d(h, rectangles: RectangleTable | Sequence[DyadicRectangle],
                         family_x: CutoffFamily,
                         family_y: CutoffFamily) -> np.ndarray:
@@ -306,14 +331,17 @@ def all_coefficients_2d(h, rectangles: RectangleTable | Sequence[DyadicRectangle
     Any other pair is the direct quadrature (Mx h My^T)[I, J] of each shape,
     with the members on the table's distinct intervals of a scale stacked as
     the rows of Mx and My (cell widths included) and h contracted once per x
-    scale; there the first distinct x or y interval that is not a union of
-    grid cells inside the box raises its cell_range error.
+    scale.  In every family pair the first distinct x, then y, interval that
+    is not a union of grid cells inside the box raises its cell_range error.
     """
     table = RectangleTable.of(rectangles)
     groups = table.groups
     out = np.zeros(len(table))
     if not groups:
         return out
+    gx, gy = h.grid_x, h.grid_y
+    _check_intervals(table.x_k, table.x_n, gx)
+    _check_intervals(table.y_k, table.y_n, gy)
     if family_x.haar and family_y.haar:
         # halves of the finest shapes are the finest blocks read
         pyr = haar_pyramid_2d(h, np.min(list(groups), axis=0) - 1)
@@ -321,9 +349,6 @@ def all_coefficients_2d(h, rectangles: RectangleTable | Sequence[DyadicRectangle
             out[idx] = haar_gather_2d(pyr, s, nx, ny, family_x.lacunary,
                                       family_y.lacunary)
         return out
-    gx, gy = h.grid_x, h.grid_y
-    _check_intervals(table.x_k, table.x_n, gx)
-    _check_intervals(table.y_k, table.y_n, gy)
     wx, wy = float(gx.cell_width), float(gy.cell_width)
     ys = _scale_slices(table.y_k)
     my = {ky: _stacked_members(family_y, gy, ky, table.y_n[sy]) * wy

@@ -163,10 +163,52 @@ def _axis_symbol_tensor(a_types, pairs, n: int) -> np.ndarray:
     return s
 
 
+def _phases(n: int) -> np.ndarray:
+    """E[x, m] = e^{2 pi i x m / N}."""
+    j = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(j, j) / n)
+
+
+def _direct_per_pair(a, b, f1, f2, g1, g2, h) -> np.ndarray:
+    """The direct sum one scale pair at a time, with no regrouping.
+
+    Per (k1, k2), the banded spectra are convolved explicitly and the pair
+    adds comp1[m] conv[m] d[c] psi3[m + c] to T[m, c]; the output is
+    (E Tx o E) h^ (E Ty o E)^T with the dense phase matrix E.
+    """
+    from dyadlab.multiplier import (_axis_pairs, _band_window,
+                                    _completion_windows, _sym_freqs,
+                                    psi_hat_band)
+    n = f1.grid.n_points
+    pairs = _axis_pairs(a, b, n)
+    xs = _sym_freqs(n).astype(float)
+    m = np.arange(n)
+    diff = (m[None, :] - m[:, None]) % n  # [a, m] -> (m - a) mod N
+    sum2 = (m[:, None] + m[None, :]) % n  # [m, c] -> (m + c) mod N
+
+    def axis_sum(types, u1, u2):
+        u1h, u2h = (np.fft.fft(u.samples.astype(complex)) / n for u in (u1, u2))
+        t = np.zeros((n, n), dtype=complex)
+        for (k1, k2) in pairs:
+            v1 = _band_window(types[0], k1, xs) * u1h
+            v2 = _band_window(types[1], k1, xs) * u2h
+            conv = v1 @ v2[diff]
+            comp1, psi3 = _completion_windows(k2, xs)
+            d = psi_hat_band(xs, k2)
+            t += (comp1 * conv)[:, None] * d[None, :] * psi3[sum2]
+        return t
+
+    e = _phases(n)
+    tx = axis_sum(a.x_types[:2], f1, f2)
+    ty = axis_sum(a.y_types[:2], g1, g2)
+    hh = np.fft.fft2(h.samples.astype(complex)) / n ** 2
+    return (((e @ tx) * e) @ hh @ ((e @ ty) * e).T).real
+
+
 def _direct_dense_reference(a, b, f1, f2, g1, g2, h):
     """The direct six-fold sum contracted from the two dense N^3 symbol
     tensors, returned with the tensors themselves."""
-    from dyadlab.multiplier import _axis_pairs, _phases
+    from dyadlab.multiplier import _axis_pairs
     n = f1.grid.n_points
     pairs = _axis_pairs(a, b, n)
     sx = _axis_symbol_tensor(a.x_types[:2], pairs, n)
@@ -218,6 +260,26 @@ def test_direct_path_matches_dense_reference(flags, res_exp, gap):
     fs = [_rand1(rng, g) for _ in range(4)]
     h = _rand2(rng, g)
     ref = _direct_dense_reference(a, b, *fs, h)[0]
+    out = apply_multiplier(a, b, *fs, h).samples
+    scale = float(np.max(np.abs(ref)))
+    assert scale > 0
+    assert np.max(np.abs(out - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("flags", DIRECT_FLAGS, ids=["psi_phi", "psi_psi"])
+@pytest.mark.parametrize("res_exp,gap", [(7, 1), (7, 3), (8, 1), (8, 3)])
+def test_direct_path_matches_per_pair_sum(flags, res_exp, gap):
+    """Grouping the convolutions by k1 and the windows by k2, and the sheared
+    assembly, give the pair-by-pair sum on grids the dense N^3 reference
+    cannot reach."""
+    g = Grid1D(0, res_exp)
+    rng = np.random.default_rng(60 + res_exp + gap)
+    a = SymbolSpec("product_special", *flags, gap=gap)
+    b = SymbolSpec("product_special", ("phi", "phi", "psi"),
+                   ("phi", "phi", "psi"), gap=gap)
+    fs = [_rand1(rng, g) for _ in range(4)]
+    h = _rand2(rng, g)
+    ref = _direct_per_pair(a, b, *fs, h)
     out = apply_multiplier(a, b, *fs, h).samples
     scale = float(np.max(np.abs(ref)))
     assert scale > 0
@@ -466,6 +528,67 @@ class TestLeibniz:
                             _rand2(rng, G16), seed=7)
         row = rep.csv_row()
         assert row.count(",") == 9 and ",7," in row
+
+
+def _leibniz_reference(alphas, betas, tuples, f1, f2, g1, g2, h):
+    """lhs and the sixteen terms, every derivative and norm computed afresh
+    for each term."""
+    a1, a2 = alphas
+    b1, b2 = betas
+    prod = np.outer(f1.samples * f2.samples, g1.samples * g2.samples)
+    inner = fractional_derivative(GridFunction2D(h.grid_x, h.grid_y, prod), (a1, a2))
+    mid = GridFunction2D(h.grid_x, h.grid_y, inner.samples * h.samples)
+    lhs = fractional_derivative(mid, (b1, b2)).norm(tuples[0].r)
+    terms = []
+    idx = 0
+    for xa in (0, 1):
+        for xb in ("f", "h"):
+            for ya in (0, 1):
+                for yb in ("g", "h"):
+                    t = tuples[idx]
+                    idx += 1
+                    fx = [f1, f2]
+                    gx = [g1, g2]
+                    xakind = a1 + (b1 if xb == "f" else 0.0)
+                    yakind = a2 + (b2 if yb == "g" else 0.0)
+                    dfx = fractional_derivative(fx[xa], xakind)
+                    dgy = fractional_derivative(gx[ya], yakind)
+                    hb1 = b1 if xb == "h" else 0.0
+                    hb2 = b2 if yb == "h" else 0.0
+                    dh = fractional_derivative(h, (hb1, hb2))
+                    terms.append(dfx.norm(t.p1) * fx[1 - xa].norm(t.q1)
+                                 * dgy.norm(t.p2) * gx[1 - ya].norm(t.q2)
+                                 * dh.norm(t.s))
+    return lhs, terms
+
+
+def _sixteen_tuples():
+    """Sixteen distinct exponent tuples with one r: 1/p + 1/q = 3/4 on both
+    axes and s = 2."""
+    out = []
+    for i in range(16):
+        x, y = 0.1 + 0.03 * i, 0.6 - 0.025 * i
+        out.append(ExponentTuple(1 / x, 1 / (0.75 - x), 1 / y, 1 / (0.75 - y), 2.0))
+    return out
+
+
+@pytest.mark.parametrize("alphas,betas", [((0.5, 1.0), (1.5, 0.0)),
+                                          ((1.0, 0.0), (0.5, 1.5)),
+                                          ((0.0, 1.5), (1.0, 0.5)),
+                                          ((1.5, 0.5), (0.0, 1.0))])
+@pytest.mark.parametrize("many", [False, True], ids=["one_tuple", "sixteen_tuples"])
+def test_leibniz_check_matches_per_term_reference(alphas, betas, many):
+    """Sharing derivatives and norms between terms changes no bit of lhs or
+    of any term."""
+    rng = np.random.default_rng(15)
+    fs = [_rand1(rng, G32) for _ in range(4)]
+    h = _rand2(rng, G32)
+    tuples = _sixteen_tuples() if many else [ExponentTuple(4 / 3, 4.0, 4.0, 4 / 3, 1.5)] * 16
+    assert len({(t.p1, t.q1, t.p2, t.q2) for t in tuples}) == (16 if many else 1)
+    rep = leibniz_check(alphas, betas, tuples if many else tuples[0], *fs, h)
+    lhs, terms = _leibniz_reference(alphas, betas, tuples, *fs, h)
+    assert rep.lhs.hex() == lhs.hex()
+    assert [t.hex() for t in rep.terms] == [t.hex() for t in terms]
 
 
 def _tile1(f: GridFunction1D, lam: int, g_big: Grid1D) -> GridFunction1D:

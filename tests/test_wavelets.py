@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -46,7 +47,8 @@ def test_coefficient_resolution_error(family):
     outside the box, a negative position and a scale coarser than the box
     raise in every family, the finest scale only where its halves are read.
     The bad interval sits between good ones, in 1D and on either axis of the
-    2D kernel's quadrature path."""
+    2D kernel, against a smooth family and, for Haar, both Haar families:
+    every family pair raises the same error."""
     g = Grid1D(0, 5)
     f = GridFunction1D(g, np.random.default_rng(0).standard_normal(g.n_points))
     h = GridFunction2D(g, g, np.ones((g.n_points, g.n_points)))
@@ -56,6 +58,9 @@ def test_coefficient_resolution_error(family):
              (DyadicInterval(-2, 4), DomainError),
              (DyadicInterval(-2, -4), DomainError),
              (DyadicInterval(1, 0), DomainError)]
+    # a Haar family also meets both Haar families on the other axis
+    others = [SMOOTH_NONLACUNARY] + (
+        [HAAR_LACUNARY, HAAR_NONLACUNARY] if family.haar else [])
     for bad, error in cases:
         ivs = [UNIT, bad, DyadicInterval(-1, 1)]
         rects = [DyadicRectangle(UNIT, UNIT), DyadicRectangle(bad, UNIT),
@@ -63,14 +68,18 @@ def test_coefficient_resolution_error(family):
         if error is None:
             got = all_coefficients(f, ivs, family)
             assert got[1] == coefficient_naive(f, bad, family)
-            all_coefficients_2d(h, rects, family, SMOOTH_NONLACUNARY)
-            continue
-        with pytest.raises(error):
-            all_coefficients(f, ivs, family)
-        with pytest.raises(error):
-            all_coefficients_2d(h, rects[:2], family, SMOOTH_NONLACUNARY)
-        with pytest.raises(error):
-            all_coefficients_2d(h, rects[::2], SMOOTH_NONLACUNARY, family)
+        else:
+            with pytest.raises(error):
+                all_coefficients(f, ivs, family)
+        for other in others:
+            if error is None:
+                all_coefficients_2d(h, rects[:2], family, other)
+                all_coefficients_2d(h, rects[::2], other, family)
+                continue
+            with pytest.raises(error):
+                all_coefficients_2d(h, rects[:2], family, other)
+            with pytest.raises(error):
+                all_coefficients_2d(h, rects[::2], other, family)
 
 
 def test_all_coefficients_example():
@@ -204,6 +213,65 @@ class TestSmoothBumps:
     def test_decay_order_validated(self):
         with pytest.raises(ConfigError):
             smooth_bump(self.interval, False, self.grid, decay=1)
+
+
+def _smooth_profile_reference(interval, lacunary, grid):
+    """The smooth member of one interval, by scalar arithmetic per interval."""
+    length = float(interval.length)
+    center = float(interval.left) + length / 2.0
+    period = float(grid.length)
+    d = (grid.points() - center) % period
+    d[d > period / 2] -= period
+    u = d / length
+    if lacunary:
+        env = np.exp(-u * u / 2.0)
+        vals = env * np.cos(2.0 * np.pi * 1.5 * u)
+        vals -= (float(vals.sum()) / float(env.sum())) * env
+    else:
+        vals = np.exp(-u * u / (2.0 * 1.4 ** 2))
+    return vals / math.sqrt(float(np.sum(vals * vals)) * float(grid.cell_width))
+
+
+@pytest.mark.parametrize("grid", [Grid1D(0, 2), Grid1D(0, 5), Grid1D(1, 6),
+                                  Grid1D(2, 4), Grid1D(0, 8)], ids=str)
+def test_stacked_smooth_members_equal_per_interval_profiles(grid):
+    """Each scale's smooth members, built as one array, are == to the
+    profiles built one interval at a time, and smooth_bump is its one-row
+    case, on and off the box."""
+    from dyadlab.wavelets import _stacked_members
+    for family in (SMOOTH_LACUNARY, SMOOTH_NONLACUNARY):
+        for k in range(-grid.res_exp, grid.box_exp + 1):
+            ns = np.arange(1 << (grid.box_exp - k))
+            ref = np.array([_smooth_profile_reference(DyadicInterval(k, int(n)),
+                                                      family.lacunary, grid)
+                            for n in ns])
+            assert np.array_equal(_stacked_members(family, grid, k, ns), ref)
+        for iv in (DyadicInterval(0, 0), DyadicInterval(-1, -3),
+                   DyadicInterval(grid.box_exp + 1, 0)):
+            assert np.array_equal(smooth_bump(iv, family.lacunary, grid),
+                                  _smooth_profile_reference(iv, family.lacunary, grid))
+
+
+@pytest.mark.parametrize("grid", [Grid1D(0, 0), Grid1D(0, 1), Grid1D(1, 0)], ids=str)
+def test_vanishing_smooth_member_raises(grid):
+    """On one or two cells the finest lacunary smooth member loses every
+    sample to its mean correction: it raises, naming interval and grid,
+    where it would be 0/0."""
+    finest = DyadicInterval(-grid.res_exp, 0)
+    f = GridFunction1D(grid, np.ones(grid.n_points))
+    h = GridFunction2D(grid, grid, np.ones((grid.n_points, grid.n_points)))
+    rect = [DyadicRectangle(finest, finest)]
+    message = f"{re.escape(str(finest))} vanishes on {re.escape(str(grid))}"
+    with pytest.raises(ResolutionError, match=message):
+        smooth_bump(finest, True, grid)
+    with pytest.raises(ResolutionError, match=message):
+        all_coefficients(f, [finest], SMOOTH_LACUNARY)
+    with pytest.raises(ResolutionError, match=message):
+        all_coefficients_2d(h, rect, SMOOTH_LACUNARY, SMOOTH_NONLACUNARY)
+    with pytest.raises(ResolutionError, match=message):
+        all_coefficients_2d(h, rect, HAAR_NONLACUNARY, SMOOTH_LACUNARY)
+    # the non-lacunary member has no mean to remove
+    assert np.isfinite(smooth_bump(finest, False, grid)).all()
 
 
 def test_family_kind_validation():
