@@ -3,7 +3,7 @@
 
 For each order in the list, dilates all inputs by 2 and 4 on refined grids,
 fits the common scaling exponent of the left side and of each right-hand
-term, and prints CSV rows (a1,a2,b1,b2,N,gap,seed,lhs,rhs,ratio) per scale.
+term, and prints CSV rows (a1,a2,b1,b2,N,seed,lhs,rhs,ratio) per scale.
 """
 
 import argparse

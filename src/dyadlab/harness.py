@@ -30,7 +30,8 @@ from .operators import maximal_function
 from .stopping import (build_exceptional_set, level_decomposition_1d,
                        sparsity_check_1d, sparsity_check_2d)
 from .wavelets import (CoefficientSequence, HAAR_LACUNARY, HAAR_NONLACUNARY,
-                       SMOOTH_LACUNARY, SMOOTH_NONLACUNARY, all_coefficients_2d)
+                       SMOOTH_LACUNARY, SMOOTH_NONLACUNARY, all_coefficients_2d,
+                       synthesize)
 
 __all__ = [
     "ExperimentConfig",
@@ -250,13 +251,8 @@ def generate_test_functions(kind: str, seed, grid: Grid1D) -> dict:
         intervals = enumerate_dyadic(grid, 1 - grid.res_exp, grid.box_exp)
         picks = rng.choice(len(intervals), size=min(8, len(intervals)),
                            replace=False)
-        vals = np.zeros(grid.n_points)
-        seq = {}
-        for i in picks:
-            iv = intervals[int(i)]
-            c = float(rng.standard_normal())
-            seq[iv] = c
-            vals += c * HAAR_LACUNARY.member(iv, grid)
+        seq = {intervals[int(i)]: float(rng.standard_normal()) for i in picks}
+        vals = synthesize(list(seq.values()), seq, HAAR_LACUNARY, grid)
         return {"f": GridFunction1D(grid, vals),
                 "sequence": CoefficientSequence(seq)}
     raise ConfigError(f"unknown test-function kind {kind!r}")

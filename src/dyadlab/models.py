@@ -23,8 +23,9 @@ fixed-scale block the one at scale k + sharp; and each outer scale reads the
 coefficients of all its intervals from its one block.  Every 1D coefficient
 is read by wavelets.all_coefficients, as an array in collection order.
 model_operator and multilinear_form take the 2D coefficients of every
-rectangle from wavelets.all_coefficients_2d; model_operator sums the terms
-as X^T C Y, multilinear_form pairs them with the dual's coefficients.
+rectangle from wavelets.all_coefficients_2d.  wavelets.synthesize sums every
+block and, once per axis, model_operator's terms; multilinear_form pairs the
+terms with the dual's coefficients.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import ConfigError
 from .size_energy import size
 from .wavelets import (CutoffFamily, CoefficientSequence, all_coefficients,
                        all_coefficients_2d, HAAR_LACUNARY, HAAR_NONLACUNARY,
-                       SMOOTH_LACUNARY, SMOOTH_NONLACUNARY, _table_members)
+                       SMOOTH_LACUNARY, SMOOTH_NONLACUNARY, synthesize)
 
 __all__ = [
     "BilinearBlockSpec",
@@ -122,26 +123,13 @@ def bilinear_block(spec: BilinearBlockSpec, v1: GridFunction1D,
     """Evaluate the block on the grid of v1 (v2 must share it)."""
     if v1.grid != v2.grid:
         raise ConfigError("v1 and v2 must share a grid")
-    grid = v1.grid
     f1, f2, f3 = spec.families
     qs = spec.qualifying()
-    out = np.zeros(grid.n_points)
-    if not qs:
-        return GridFunction1D(grid, out)
-    c1 = all_coefficients(v1, qs, f1).tolist()
-    c2 = all_coefficients(v2, qs, f2).tolist()
-    absolute = spec.variant == "localized_nonlac"
-    for q, a1, a2 in zip(qs, c1, c2):
-        w = a1 * a2 / math.ldexp(1.0, q.k) ** 0.5
-        if w == 0.0:
-            continue
-        member = f3.member(q, grid)
-        if absolute:
-            out += (abs(a1) * abs(a2) / math.ldexp(1.0, q.k) ** 0.5
-                    * np.abs(member))
-        else:
-            out += w * member
-    return GridFunction1D(grid, out)
+    w = all_coefficients(v1, qs, f1) * all_coefficients(v2, qs, f2)
+    if spec.variant == "localized_nonlac":  # its third members are >= 0
+        w = np.abs(w)
+    norms = np.array([math.ldexp(1.0, q.k) ** 0.5 for q in qs])
+    return GridFunction1D(v1.grid, synthesize(w / norms, qs, f3, v1.grid))
 
 
 @dataclass(frozen=True)
@@ -307,11 +295,11 @@ def _rectangle_weights(spec: ModelOperatorSpec, f1, f2, g1, g2):
 def model_operator(spec: ModelOperatorSpec, f1: GridFunction1D, f2: GridFunction1D,
                    g1: GridFunction1D, g2: GridFunction1D,
                    h: GridFunction2D) -> GridFunction2D:
-    """Evaluate the selected model operator on the grid of h, as X^T C Y.
+    """Evaluate the selected model operator on the grid of h.
 
     C[I, J] sums weight times <h, m2_I tensor m2_J> over the rectangles I x J
-    (a rectangle listed twice counts twice); the rows of X and Y are the
-    output members on the x and y intervals.
+    (a rectangle listed twice counts twice); the output is C synthesized
+    against the output members m3_I on x, then against m3_J on y.
     """
     gx, gy = h.grid_x, h.grid_y
     table = spec.rectangles
@@ -319,9 +307,8 @@ def model_operator(spec: ModelOperatorSpec, f1: GridFunction1D, f2: GridFunction
     hc = all_coefficients_2d(h, table, spec.x_outer[1], h_y_family)
     c = np.zeros((len(xs), len(ys)))
     np.add.at(c, (table.x_inverse, table.y_inverse), w * hc)
-    x_members = _table_members(spec.x_outer[2], gx, table.x_k, table.x_n)
-    y_members = _table_members(out_y_family, gy, table.y_k, table.y_n)
-    return GridFunction2D(gx, gy, (x_members.T @ c) @ y_members)
+    x_side = synthesize(c, xs, spec.x_outer[2], gx)
+    return GridFunction2D(gx, gy, synthesize(x_side.T, ys, out_y_family, gy).T)
 
 
 def oracle_model_operator(spec: ModelOperatorSpec, f1, f2, g1, g2, h

@@ -470,7 +470,6 @@ class LeibnizReport:
     lhs: float
     terms: tuple[float, ...]
     n: int
-    gap: int
     seed: int | None = None
 
     @property
@@ -487,7 +486,7 @@ class LeibnizReport:
         a1, a2 = self.alphas
         b1, b2 = self.betas
         seed = "" if self.seed is None else self.seed
-        return (f"{a1},{a2},{b1},{b2},{self.n},{self.gap},{seed},"
+        return (f"{a1},{a2},{b1},{b2},{self.n},{seed},"
                 f"{self.lhs!r},{self.rhs!r},{self.ratio!r}")
 
 
@@ -550,4 +549,4 @@ def leibniz_check(alphas: tuple[float, float], betas: tuple[float, float],
                                  * norm(dgy[ya, yo], t.p2) * norm(gx[1 - ya], t.q2)
                                  * norm(dh[ho], t.s))
     return LeibnizReport((a1, a2), (b1, b2), lhs, tuple(terms),
-                         _grid_n(f1), 0, seed)
+                         _grid_n(f1), seed)

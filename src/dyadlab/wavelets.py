@@ -10,6 +10,7 @@ quantified by band_energy_fraction.
 
 all_coefficients and all_coefficients_2d, the 1D and 2D coefficient kernels,
 return arrays in collection order; coefficient_naive is their reference.
+synthesize, the transpose of all_coefficients, sums members onto the grid.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
                      RectangleTable, _check_intervals, _interval_table)
-from .errors import ConfigError, DomainError, ResolutionError
+from .errors import ConfigError, ResolutionError
 
 __all__ = [
     "CutoffFamily",
@@ -36,10 +37,10 @@ __all__ = [
     "coefficient_naive",
     "all_coefficients",
     "all_coefficients_2d",
+    "synthesize",
     "smooth_bump",
     "band_energy_fraction",
     "haar_pyramid_2d",
-    "haar_gather_2d",
     "block_sums",
 ]
 
@@ -111,27 +112,29 @@ def haar_eval(interval: DyadicInterval, lacunary: bool, x) -> float:
 def smooth_bump(interval: DyadicInterval, lacunary: bool, grid: Grid1D,
                 decay: int = 10) -> np.ndarray:
     """L2-normalized smooth profile adapted to the interval, sampled on the grid."""
-    if decay < 2:
-        raise ConfigError("decay order must be >= 2")
-    return _smooth_profiles(grid, interval.k, [interval.n], lacunary)[0]
+    kind = "smooth_lacunary" if lacunary else "smooth_nonlacunary"
+    return _stacked_members(CutoffFamily(kind, decay), grid, interval.k, [interval.n])[0]
 
 
-def _smooth_profiles(grid: Grid1D, k: int, positions: np.ndarray,
-                     lacunary: bool) -> np.ndarray:
-    """Rows: the smooth profiles on the intervals (k, n), n in positions,
-    each L2-normalized on the grid.
+def _stacked_members(family: CutoffFamily, grid: Grid1D, k: int,
+                     positions: np.ndarray) -> np.ndarray:
+    """Rows: the members on the intervals (k, n), n in positions; the smooth
+    ones L2-normalized on the grid, in one array expression.
 
-    A lacunary profile has its envelope-weighted mean removed.  On a grid of
-    one or two cells that can cancel every sample, and such a profile has no
-    normalization: it raises ResolutionError.
+    A lacunary smooth profile has its envelope-weighted mean removed.  On a
+    grid of one or two cells that can cancel every sample, and such a profile
+    has no normalization: it raises ResolutionError.
     """
+    if family.haar:
+        return np.array([family.member(DyadicInterval(k, int(n)), grid)
+                         for n in positions])
     length = math.ldexp(1.0, k)
     centers = np.asarray(positions, dtype=float)[:, None] * length + length / 2.0
     period = float(grid.length)
     d = (grid.points()[None, :] - centers) % period  # periodic displacement
     d[d > period / 2] -= period
     u = d / length
-    if lacunary:
+    if family.lacunary:
         env = np.exp(-u * u / (2.0 * _SIGMA_LAC ** 2))
         vals = env * np.cos(2.0 * np.pi * _MODULATION * u)
         # envelope-weighted mean correction: exact vanishing of the grid mean
@@ -144,7 +147,7 @@ def _smooth_profiles(grid: Grid1D, k: int, positions: np.ndarray,
     if not (nrm > 0).all():
         n = positions[int(np.argmin(nrm[:, 0] > 0))]
         raise ResolutionError(
-            f"the smooth {'lacunary' if lacunary else 'non-lacunary'} member on "
+            f"the {family.kind.replace('_', ' ')} member on "
             f"{DyadicInterval(k, int(n))} vanishes on {grid}")
     return vals / nrm
 
@@ -240,39 +243,24 @@ def haar_pyramid_2d(h, k_min: tuple[int, int] | None = None
 _HALVES = {False: ((0, 1.0),), True: ((0, 1.0), (1, -1.0))}
 
 
-def haar_gather_2d(pyramid: Mapping[tuple[int, int], np.ndarray],
-                   shape: tuple[int, int], nx: np.ndarray, ny: np.ndarray,
-                   lacunary_x: bool, lacunary_y: bool) -> np.ndarray:
+def _haar_gather_2d(pyramid: Mapping[tuple[int, int], np.ndarray],
+                    shape: tuple[int, int], nx: np.ndarray, ny: np.ndarray,
+                    lacunary_x: bool, lacunary_y: bool) -> np.ndarray:
     """<h, member_I tensor member_J> for Haar families, from 2D block sums,
-    for all rectangles I x J of one shape (kx, ky) at positions (nx, ny).
+    for the checked rectangles I x J of one shape (kx, ky) at (nx, ny).
 
     A lacunary member reads the two halves of its interval one scale down;
     the signed blocks are added in the order ((B00 - B01) - B10) + B11.
     """
     kx, ky = shape
     lx, ly = int(lacunary_x), int(lacunary_y)
-    blocks = pyramid.get((kx - lx, ky - ly))
-    if blocks is None:
-        raise ResolutionError(f"no block sums resolve rectangles of shape {shape}")
+    blocks = pyramid[kx - lx, ky - ly]
     nx, ny = np.asarray(nx, dtype=np.int64), np.asarray(ny, dtype=np.int64)
-    if nx.size and (min(nx.min(), ny.min()) < 0 or nx.max() >= blocks.shape[0] >> lx
-                    or ny.max() >= blocks.shape[1] >> ly):
-        raise DomainError(f"rectangles of shape {shape} outside the domain")
     total = 0.0
     for dx, wx in _HALVES[lacunary_x]:
         for dy, wy in _HALVES[lacunary_y]:
             total = total + wx * wy * blocks[(nx << lx) + dx, (ny << ly) + dy]
     return 2.0 ** (-(kx + ky) / 2.0) * total
-
-
-def _stacked_members(family: CutoffFamily, grid: Grid1D, k: int,
-                     positions: np.ndarray) -> np.ndarray:
-    """Rows: the members on the intervals (k, n), n in positions; the smooth
-    ones in one array expression."""
-    if not family.haar:
-        return _smooth_profiles(grid, k, positions, family.lacunary)
-    return np.array([family.member(DyadicInterval(k, int(n)), grid)
-                     for n in positions])
 
 
 def all_coefficients(f: GridFunction1D, collection: Iterable[DyadicInterval],
@@ -305,19 +293,46 @@ def all_coefficients(f: GridFunction1D, collection: Iterable[DyadicInterval],
     return out
 
 
+def synthesize(coeffs, collection: Iterable[DyadicInterval],
+               family: CutoffFamily, grid: Grid1D) -> np.ndarray:
+    """sum_i coeffs[i] member_i on the grid: the transpose of all_coefficients.
+
+    The sum runs along a new leading axis of grid.n_points; trailing axes of
+    coeffs pass through.  Haar kinds scatter 2^(-k/2) c (+ and - on the two
+    halves, if lacunary) into the block_sums level that all_coefficients reads
+    and spread the levels from coarse to fine, so each cell adds its terms
+    coarsest first; other kinds add them in collection order, from each
+    scale's members stacked once.  The intervals all_coefficients rejects raise.
+    """
+    ks, ns = _interval_table(tuple(collection), grid)
+    lac = int(family.haar and family.lacunary)
+    _check_intervals(ks - lac, ns << lac, grid)
+    c = np.asarray(coeffs, dtype=float)
+    if c.shape[:1] != ks.shape:
+        raise ConfigError(f"expected {ks.size} coefficients, got shape {c.shape}")
+    if not family.haar:
+        rows = np.zeros((ks.size, grid.n_points))
+        for k in np.unique(ks).tolist():
+            idx = np.flatnonzero(ks == k)
+            rows[idx] = _stacked_members(family, grid, k, ns[idx])
+        return np.einsum("ip,i...->p...", rows, c)  # adds the rows in order
+    top = grid.box_exp + grid.res_exp  # level i holds blocks of 2^i cells
+    out = np.zeros((1,) + c.shape[1:])
+    for k in np.unique(ks).tolist()[::-1]:
+        idx, i = np.flatnonzero(ks == k), k - lac + grid.res_exp
+        out = np.repeat(out, 1 << (top - i), axis=0)
+        level, terms = np.zeros_like(out), 2.0 ** (-k / 2.0) * c[idx]
+        for half, sign in _HALVES[bool(lac)]:
+            np.add.at(level, (ns[idx] << lac) + half, sign * terms)
+        out, top = out + level, i
+    return np.repeat(out, 1 << top, axis=0)
+
+
 def _scale_slices(ks: np.ndarray) -> dict[int, slice]:
     """Each scale of a sorted scale array, mapped to its run of entries."""
     scales, first = np.unique(ks, return_index=True)
     ends = np.append(first[1:], ks.size)
     return {int(k): slice(int(a), int(b)) for k, a, b in zip(scales, first, ends)}
-
-
-def _table_members(family: CutoffFamily, grid: Grid1D, ks: np.ndarray,
-                   ns: np.ndarray) -> np.ndarray:
-    """Rows: the members on the intervals I(ks[i], ns[i]), sorted by scale,
-    stacked one scale at a time."""
-    return np.concatenate([_stacked_members(family, grid, k, ns[s])
-                           for k, s in _scale_slices(ks).items()])
 
 
 def all_coefficients_2d(h, rectangles: RectangleTable | Sequence[DyadicRectangle],
@@ -331,8 +346,8 @@ def all_coefficients_2d(h, rectangles: RectangleTable | Sequence[DyadicRectangle
     Any other pair is the direct quadrature (Mx h My^T)[I, J] of each shape,
     with the members on the table's distinct intervals of a scale stacked as
     the rows of Mx and My (cell widths included) and h contracted once per x
-    scale.  In every family pair the first distinct x, then y, interval that
-    is not a union of grid cells inside the box raises its cell_range error.
+    scale.  In every family pair the first distinct x, then y, interval or
+    lacunary Haar half off the grid raises its cell_range error.
     """
     table = RectangleTable.of(rectangles)
     groups = table.groups
@@ -340,14 +355,16 @@ def all_coefficients_2d(h, rectangles: RectangleTable | Sequence[DyadicRectangle
     if not groups:
         return out
     gx, gy = h.grid_x, h.grid_y
-    _check_intervals(table.x_k, table.x_n, gx)
-    _check_intervals(table.y_k, table.y_n, gy)
+    for ks, ns, g, f in ((table.x_k, table.x_n, gx, family_x),
+                         (table.y_k, table.y_n, gy, family_y)):
+        for lac in range(1 + (f.haar and f.lacunary)):  # and the halves it reads
+            _check_intervals(ks - lac, ns << lac, g)
     if family_x.haar and family_y.haar:
         # halves of the finest shapes are the finest blocks read
         pyr = haar_pyramid_2d(h, np.min(list(groups), axis=0) - 1)
         for s, (idx, nx, ny) in groups.items():
-            out[idx] = haar_gather_2d(pyr, s, nx, ny, family_x.lacunary,
-                                      family_y.lacunary)
+            out[idx] = _haar_gather_2d(pyr, s, nx, ny, family_x.lacunary,
+                                       family_y.lacunary)
         return out
     wx, wy = float(gx.cell_width), float(gy.cell_width)
     ys = _scale_slices(table.y_k)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dyadlab import models
 from dyadlab.dyadic import (DyadicInterval, DyadicRectangle, Grid1D,
@@ -20,7 +20,7 @@ from dyadlab.stopping import level_set_decomposition_2d
 from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
                               SMOOTH_NONLACUNARY, CoefficientSequence,
                               all_coefficients, all_coefficients_2d,
-                              coefficient_naive)
+                              coefficient_naive, synthesize)
 
 G = Grid1D(0, 6)
 UNIT = DyadicInterval(0, 0)
@@ -61,6 +61,68 @@ def test_block_variant_filters():
     qs = fixed.qualifying()
     # |Q| ~ 2 |P|: the dyadic band [2|P|, 4|P|) holds exactly the scale-0 ones
     assert qs and all(q.k == 0 for q in qs)
+
+
+def _bilinear_block_loop(spec, v1, v2):
+    """The block as a loop over the qualifying intervals that adds each
+    weighted third member in collection order (|w| |m3_Q| for
+    localized_nonlac), and the same sum over absolute values."""
+    grid = v1.grid
+    f1, f2, f3 = spec.families
+    out, scale = np.zeros(grid.n_points), np.zeros(grid.n_points)
+    qs = spec.qualifying()
+    c1 = all_coefficients(v1, qs, f1).tolist()
+    c2 = all_coefficients(v2, qs, f2).tolist()
+    for q, a1, a2 in zip(qs, c1, c2):
+        w = a1 * a2 / math.ldexp(1.0, q.k) ** 0.5
+        if w == 0.0:
+            continue
+        member = f3.member(q, grid)
+        if spec.variant == "localized_nonlac":
+            out += (abs(a1) * abs(a2) / math.ldexp(1.0, q.k) ** 0.5
+                    * np.abs(member))
+        else:
+            out += w * member
+        scale += abs(w) * np.abs(member)
+    return out, scale
+
+
+_BLOCK_POOL = enumerate_dyadic(G, -5, 0)
+_VARIANTS = ("global", "local", "fixed_scale", "localized_lac", "localized_nonlac")
+
+
+@given(st.sampled_from(_VARIANTS), st.sampled_from(["haar", "smooth"]),
+       st.integers(0, 2), st.lists(st.sampled_from(_BLOCK_POOL), max_size=40),
+       st.booleans(), st.sampled_from(_BLOCK_POOL), st.integers(0, 3),
+       st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_block_matches_per_member_loop(variant, flavor, lacunary_pair, inner,
+                                       coarsest_first, anchor, sharp, seed):
+    """bilinear_block against the per-member loop it replaced, in all five
+    variants: == where each cell adds the same terms in the same order (every
+    smooth collection, and a Haar collection without repeats whose scales
+    run coarsest first), and otherwise within 1e-12 of the loop's sum over
+    absolute values."""
+    if coarsest_first:
+        inner = sorted(set(inner), key=lambda q: -q.k)
+    lac, non = ((HAAR_LACUNARY, HAAR_NONLACUNARY) if flavor == "haar"
+                else (SMOOTH_LACUNARY, SMOOTH_NONLACUNARY))
+    triples = ((non, lac, lac), (lac, non, lac), (lac, lac, non))
+    if variant == "localized_lac":
+        lacunary_pair %= 2
+    elif variant == "localized_nonlac":
+        lacunary_pair = 2
+    level = GridFunction1D.indicator(G, [anchor])
+    spec = BilinearBlockSpec(tuple(inner), triples[lacunary_pair], variant,
+                             anchor, sharp, level)
+    rng = np.random.default_rng(seed)
+    v1, v2 = (GridFunction1D(G, rng.standard_normal(G.n_points)) for _ in range(2))
+    got = bilinear_block(spec, v1, v2).samples
+    ref, scale = _bilinear_block_loop(spec, v1, v2)
+    if flavor == "smooth" or coarsest_first:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
 
 def test_block_spec_validation():
@@ -475,9 +537,22 @@ def test_block_coefficients_match_both_block_paths(inner, outer, fixed, sharp, s
             assert np.all(np.abs(got - per_interval) <= 1e-12 * np.array(scale))
 
 
+def _haar_coefficient_rounded(v, interval, family):
+    """<v, member on the interval> for a Haar family, correctly rounded but
+    for one product: the exact sum of the samples times +-1 by math.fsum,
+    then one multiplication by 2^(-k/2) times the cell width."""
+    a, b = v.grid.cell_range(interval)
+    signs = np.ones(b - a)
+    if family.lacunary:
+        signs[(b - a) // 2:] = -1.0
+    total = math.fsum((v.samples[a:b] * signs).tolist())
+    return total * (2.0 ** (-interval.k / 2.0) * float(v.grid.cell_width))
+
+
 def _local_size_bound_reference(block_spec, v1, v2, level_set, outer_collection):
     """local_size_bound_check with one fixed-scale block per outer interval P,
-    each read by quadrature, and the sups by quadrature."""
+    each read by quadrature, and the sups by quadrature, correctly rounded
+    for Haar families (a coefficient can be small by cancellation)."""
     outer = tuple(outer_collection)
     outer_family = (HAAR_NONLACUNARY if block_spec.families[2].haar
                     else SMOOTH_NONLACUNARY)
@@ -490,9 +565,11 @@ def _local_size_bound_reference(block_spec, v1, v2, level_set, outer_collection)
                if np.any(level_set.restrict(q) > 0)]
     if not meeting:
         return lhs, 0.0
-    s1 = max(abs(coefficient_naive(v1, q, block_spec.families[0]))
+    coefficient = (_haar_coefficient_rounded if block_spec.families[0].haar
+                   else coefficient_naive)
+    s1 = max(abs(coefficient(v1, q, block_spec.families[0]))
              / math.ldexp(1.0, q.k) ** 0.5 for q in meeting)
-    s2 = max(abs(coefficient_naive(v2, q, block_spec.families[1]))
+    s2 = max(abs(coefficient(v2, q, block_spec.families[1]))
              / math.ldexp(1.0, q.k) ** 0.5 for q in meeting)
     return lhs, s1 * s2
 
@@ -544,6 +621,8 @@ _LEVEL_POOL = enumerate_dyadic(Grid1D(0, 6), -3, 0)
                                               max_size=12),
        st.integers(0, 3), st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=60, deadline=None)
+@example(res_exp=6, inner_picks=[143635], anchor=DyadicInterval(0, 0),
+         outer_picks=[0], sharp=0, seed=99550)  # cancels in the Haar rhs
 def test_localization_checks_match_per_interval_references(
         res_exp, inner_picks, anchor, outer_picks, sharp, seed):
     """Both localization checks read their block coefficients from the one
@@ -629,15 +708,16 @@ def _weights_reference(spec, f1, f2, g1, g2):
 
 
 def _model_operator_reference(spec, f1, f2, g1, g2, h):
+    """C assembled by per-rectangle dict lookups, then synthesized on x and
+    on y as model_operator does (synthesize has tests of its own)."""
     rects, xs, ys, w, h_y, out_y = _weights_reference(spec, f1, f2, g1, g2)
     hc = all_coefficients_2d(h, rects, spec.x_outer[1], h_y)
     row = {I: a for a, I in enumerate(xs)}
     col = {J: b for b, J in enumerate(ys)}
     c = np.zeros((len(xs), len(ys)))
     np.add.at(c, ([row[r.x] for r in rects], [col[r.y] for r in rects]), w * hc)
-    x_members = np.array([spec.x_outer[2].member(I, h.grid_x) for I in xs])
-    y_members = np.array([out_y.member(J, h.grid_y) for J in ys])
-    return (x_members.T @ c) @ y_members
+    x_side = synthesize(c, xs, spec.x_outer[2], h.grid_x)
+    return synthesize(x_side.T, ys, out_y, h.grid_y).T
 
 
 def _multilinear_form_reference(spec, f1, f2, g1, g2, h, dual):

@@ -14,9 +14,8 @@ from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
                               SMOOTH_NONLACUNARY, CoefficientSequence,
                               CutoffFamily, all_coefficients,
                               all_coefficients_2d, band_energy_fraction,
-                              coefficient_naive, haar_eval,
-                              haar_gather_2d, haar_pyramid_2d,
-                              smooth_bump)
+                              _haar_gather_2d, coefficient_naive, haar_eval,
+                              haar_pyramid_2d, smooth_bump, synthesize)
 
 G = Grid1D(0, 6)
 UNIT = DyadicInterval(0, 0)
@@ -46,9 +45,9 @@ def test_coefficient_resolution_error(family):
     """On a 2^-5 grid of [0, 1): a scale finer than the grid, a position
     outside the box, a negative position and a scale coarser than the box
     raise in every family, the finest scale only where its halves are read.
-    The bad interval sits between good ones, in 1D and on either axis of the
-    2D kernel, against a smooth family and, for Haar, both Haar families:
-    every family pair raises the same error."""
+    The bad interval sits between good ones, in both 1D kernels and on
+    either axis of the 2D kernel, against a smooth family and, for Haar, both
+    Haar families: every family pair raises the same error."""
     g = Grid1D(0, 5)
     f = GridFunction1D(g, np.random.default_rng(0).standard_normal(g.n_points))
     h = GridFunction2D(g, g, np.ones((g.n_points, g.n_points)))
@@ -68,9 +67,12 @@ def test_coefficient_resolution_error(family):
         if error is None:
             got = all_coefficients(f, ivs, family)
             assert got[1] == coefficient_naive(f, bad, family)
+            assert synthesize(np.ones(3), ivs, family, g).shape == (g.n_points,)
         else:
             with pytest.raises(error):
                 all_coefficients(f, ivs, family)
+            with pytest.raises(error):
+                synthesize(np.ones(3), ivs, family, g)
         for other in others:
             if error is None:
                 all_coefficients_2d(h, rects[:2], family, other)
@@ -89,6 +91,51 @@ def test_all_coefficients_example():
     zero = all_coefficients(GridFunction1D.zeros(G), [UNIT], HAAR_NONLACUNARY)
     assert zero.tolist() == [0.0]
     assert all_coefficients(half, [], SMOOTH_LACUNARY).shape == (0,)
+
+
+def _random_collection(rng, grid, family):
+    """Intervals the family resolves on the grid, in any order, with repeats."""
+    lac = int(family.haar and family.lacunary)
+    ivs = enumerate_dyadic(grid, lac - grid.res_exp, grid.box_exp)
+    return [ivs[int(i)]
+            for i in rng.integers(0, len(ivs), rng.integers(1, len(ivs) + 8))]
+
+
+@given(st.integers(0, 2), st.integers(2, 8), st.sampled_from(FAMILIES),
+       st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_synthesize_is_the_transpose_of_all_coefficients(box, cells, family, seed):
+    """<synthesize(c), f> = <c, all_coefficients(f)> on grids of 2^2 to 2^8
+    cells, within 1e-12 of the same pairing over absolute values (the
+    collection comes in any order, with repeats)."""
+    g = Grid1D(box, cells - box)
+    rng = np.random.default_rng(seed)
+    f = GridFunction1D(g, rng.standard_normal(g.n_points))
+    collection = _random_collection(rng, g, family)
+    c = rng.standard_normal(len(collection))
+    w = float(g.cell_width)
+    lhs = float(np.sum(synthesize(c, collection, family, g) * f.samples)) * w
+    rhs = float(np.sum(c * all_coefficients(f, collection, family)))
+    members = np.array([family.member(iv, g) for iv in collection])
+    scale = float(np.abs(c) @ (np.abs(members) @ np.abs(f.samples))) * w
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@given(st.integers(0, 1), st.integers(2, 6), st.sampled_from(FAMILIES),
+       st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_synthesize_columns_are_the_members(box, cells, family, seed):
+    """At up to 64 cells, synthesizing the unit coefficient vectors, as one
+    trailing axis, gives the dense matrix of member rows, ==."""
+    g = Grid1D(box, cells - box)
+    collection = _random_collection(np.random.default_rng(seed), g, family)
+    dense = np.array([family.member(iv, g) for iv in collection])
+    got = synthesize(np.eye(len(collection)), collection, family, g)
+    assert got.shape == (g.n_points, len(collection))
+    assert np.array_equal(got, dense.T)
+    assert synthesize([], [], family, g).shape == (g.n_points,)
+    with pytest.raises(ConfigError):
+        synthesize(np.ones(len(collection) + 1), collection, family, g)
 
 
 def _pyramid_read(f, iv, lacunary):
@@ -308,7 +355,7 @@ def test_haar_pyramid_2d_matches_direct():
     rects = [DyadicRectangle(i, j)
              for i in enumerate_dyadic(g, -2, 0) for j in enumerate_dyadic(g, -2, 0)]
     for r in rects:
-        fast = haar_gather_2d(pyr, (r.x.k, r.y.k), [r.x.n], [r.y.n], True, True)
+        fast = _haar_gather_2d(pyr, (r.x.k, r.y.k), [r.x.n], [r.y.n], True, True)
         direct = _quadrature_2d(h, r, HAAR_LACUNARY, HAAR_LACUNARY)
         assert abs(fast[0] - direct) <= 1e-12
     coarse = haar_pyramid_2d(h, (-1, -3))  # keeps only the levels it is asked for
@@ -331,20 +378,24 @@ def test_haar_gather_matches_quadrature(bx, rx, by, ry, lac_x, lac_y, seed):
         for J_k in range(int(lac_y) - ry, by + 1):
             nx = rng.integers(0, 2 ** (bx - I_k), 3)
             ny = rng.integers(0, 2 ** (by - J_k), 3)
-            fast = haar_gather_2d(pyr, (I_k, J_k), nx, ny, lac_x, lac_y)
+            fast = _haar_gather_2d(pyr, (I_k, J_k), nx, ny, lac_x, lac_y)
             for c, m, n in zip(fast, nx, ny):
                 mx = fx.member(DyadicInterval(I_k, int(m)), gx)
                 my = fy.member(DyadicInterval(J_k, int(n)), gy)
                 assert abs(c - float(mx @ h.samples @ my) * wx * wy) <= 1e-12
 
 
-def test_haar_gather_rejects_unresolved_shapes():
+def test_haar_all_coefficients_2d_rejects_unresolved_shapes():
+    """A lacunary Haar member whose halves are finer than the grid, and a
+    rectangle off the box, raise as in all_coefficients."""
     g = Grid1D(0, 2)
-    pyr = haar_pyramid_2d(GridFunction2D.zeros(g, g))
+    h = GridFunction2D.zeros(g, g)
     with pytest.raises(ResolutionError):
-        haar_gather_2d(pyr, (-2, 0), [0], [0], True, False)
+        all_coefficients_2d(h, [DyadicRectangle(DyadicInterval(-2, 0), UNIT)],
+                            HAAR_LACUNARY, HAAR_NONLACUNARY)
     with pytest.raises(DomainError):
-        haar_gather_2d(pyr, (-1, 0), [2], [0], True, False)
+        all_coefficients_2d(h, [DyadicRectangle(DyadicInterval(-1, 2), UNIT)],
+                            HAAR_LACUNARY, HAAR_NONLACUNARY)
 
 
 _FAMILY_PAIRS = [(SMOOTH_LACUNARY, SMOOTH_LACUNARY),
