@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
-                     GridFunction2D, RectangleTable, contains, disjoint,
+                     GridFunction2D, RectangleTable, disjoint,
                      enumerate_dyadic)
 from .errors import ConfigError
 from .models import (ModelOperatorSpec, MODEL_NAMES, model_operator,
@@ -107,6 +107,9 @@ class ExperimentConfig:
             raise ConfigError(f"sharp1, sharp2: Haar makes {self.model} "
                               "identically zero at a fixed-scale offset 0")
         self.exponents()  # raises ConfigError on a bad tuple
+        if self.kind == "weak_type_sweep" and self.box_exp == 0:
+            raise ConfigError("box_exp: a weak-type sweep needs box_exp >= 1; at 0 "
+                              "the set E is the whole box")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":

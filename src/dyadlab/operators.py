@@ -1,10 +1,18 @@
-"""Dyadic maximal functions, square functions and the 2D hybrid operators."""
+"""Dyadic maximal functions, square functions and the 2D hybrid operators.
+
+Two kernels build every operator here.  _strong_maximal_full, a
+max-recurrence over the scale lattice, gives the supremum over every dyadic
+rectangle of the box: maximal_function (M) is its one-column case and
+maximal_function_2d (MM over the box) is it.  _assemble builds SS, MS, SM and
+MM over a RectangleTable, one x scale at a time, from the rectangle terms.
+square_1d (S) is one wavelets.synthesize call.
+"""
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -12,12 +20,11 @@ from .dyadic import (DyadicInterval, DyadicRectangle, Grid1D, GridFunction1D,
                      GridFunction2D, RectangleTable, enumerate_dyadic)
 from .errors import ConfigError, DomainError, ResolutionError
 from .wavelets import (CutoffFamily, all_coefficients, all_coefficients_2d,
-                       block_sums, HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
-                       SMOOTH_NONLACUNARY)
+                       block_sums, synthesize, HAAR_LACUNARY, HAAR_NONLACUNARY,
+                       SMOOTH_LACUNARY, SMOOTH_NONLACUNARY)
 
 __all__ = [
     "HybridKind",
-    "maximal_1d",
     "maximal_function",
     "maximal_function_2d",
     "square_1d",
@@ -38,32 +45,13 @@ class HybridKind(str, Enum):
     MM = "MM"
 
 
-def maximal_function(f: GridFunction1D) -> GridFunction1D:
-    """Dyadic Hardy-Littlewood maximal function on the whole grid.
-
-    The supremum runs over all dyadic subintervals of the box, from single
-    grid cells up to the box itself, as the recurrence from the box down
-    best_i = max(avg_i, up(best_{i+1})) over blocks of 2^i cells.
-    """
-    levels = f.grid.box_exp + f.grid.res_exp
-    sums = block_sums(np.abs(f.samples).astype(float, copy=False), 0, levels)
-    best = sums[levels] * math.ldexp(1.0, -levels)
-    for i in range(levels - 1, -1, -1):
-        best = np.maximum(sums[i] * math.ldexp(1.0, -i), np.repeat(best, 2))
-    return GridFunction1D(f.grid, best)
-
-
-def maximal_1d(f: GridFunction1D, x) -> float:
-    """Dyadic maximal function at one point."""
-    return float(maximal_function(f).samples[f.grid.cell_of(x)])
-
-
 def _strong_maximal_full(a: np.ndarray) -> np.ndarray:
     """sup over all dyadic rectangles of the box of the average of a >= 0.
 
     best[i, j] on blocks of 2^i x 2^j cells is max(avg[i, j],
     up_x(best[i+1, j]), up_y(best[i, j+1])), swept one x level at a time from
-    the box down, so only two x levels of best are alive at once.
+    the box down, so only two x levels of best are alive at once.  It writes
+    into a, so callers pass a fresh array (np.abs makes one).
     """
     rows = block_sums(a, 0, a.shape[0].bit_length() - 1)
     ly = a.shape[1].bit_length() - 1
@@ -84,62 +72,33 @@ def _strong_maximal_full(a: np.ndarray) -> np.ndarray:
     return above[0]
 
 
-def maximal_function_2d(h: GridFunction2D,
-                        rectangles: Iterable[DyadicRectangle] | None = None
-                        ) -> GridFunction2D:
-    """Dyadic strong maximal function MM.
+def maximal_function(f: GridFunction1D) -> GridFunction1D:
+    """Dyadic Hardy-Littlewood maximal function: the supremum over all dyadic
+    subintervals of the box, from single grid cells up to the box itself."""
+    a = np.abs(f.samples).astype(float, copy=False)
+    return GridFunction1D(f.grid, _strong_maximal_full(a[:, None])[:, 0])
 
-    With rectangles=None the supremum runs over all dyadic rectangles of the
-    box (the default used for exceptional-set enlargements), by a
-    max-recurrence over the (kx, ky) scale lattice that visits each shape
-    once at its own resolution; otherwise only over the rectangles of the
-    given collection containing the point.
-    """
-    if rectangles is None:
-        # a fresh array: the recurrence writes into its input
-        best = _strong_maximal_full(np.abs(h.samples).astype(float, copy=False))
-        return GridFunction2D(h.grid_x, h.grid_y, best)
-    best = np.zeros((h.grid_x.n_points, h.grid_y.n_points))
-    area = h.cell_area
-    for r in rectangles:
-        a, b = h.grid_x.cell_range(r.x)
-        c, d = h.grid_y.cell_range(r.y)
-        avg = (float(np.abs(h.samples[a:b, c:d]).sum()) * area
-               / math.ldexp(1.0, r.x.k + r.y.k))
-        np.maximum(best[a:b, c:d], avg, out=best[a:b, c:d])
-    return GridFunction2D(h.grid_x, h.grid_y, best)
+
+def maximal_function_2d(h: GridFunction2D) -> GridFunction2D:
+    """Dyadic strong maximal function MM over all dyadic rectangles of the
+    box, the enlargement of exceptional sets; hybrid_2d gives MM over a
+    rectangle collection."""
+    a = np.abs(h.samples).astype(float, copy=False)
+    return GridFunction2D(h.grid_x, h.grid_y, _strong_maximal_full(a))
 
 
 def square_1d(f: GridFunction1D, collection: Sequence[DyadicInterval],
               family: CutoffFamily) -> GridFunction1D:
-    """Discretized Littlewood-Paley square function over the collection."""
+    """Discretized Littlewood-Paley square function over the collection,
+    (sum_I |<f, member_I>|^2 / |I| chi_I)^(1/2)."""
     if not family.lacunary:
         raise ConfigError("square function requires a lacunary family")
     collection = tuple(collection)
-    coeffs = all_coefficients(f, collection, family)
-    acc = np.zeros(f.grid.n_points)
-    for iv, c in zip(collection, coeffs.tolist()):
-        a, b = f.grid.cell_range(iv)
-        acc[a:b] += abs(c) ** 2 / math.ldexp(1.0, iv.k)
+    ks = np.array([iv.k for iv in collection], dtype=float)
+    c = np.abs(all_coefficients(f, collection, family)) ** 2 * 2.0 ** (-ks / 2.0)
+    # 2^(-k/2) chi_I is the Haar non-lacunary member on I
+    acc = synthesize(c, collection, HAAR_NONLACUNARY, f.grid)
     return GridFunction1D(f.grid, np.sqrt(acc))
-
-
-def _hybrid_families(kind: HybridKind,
-                     families: tuple[CutoffFamily, CutoffFamily] | None
-                     ) -> tuple[CutoffFamily, CutoffFamily]:
-    haar = kind.value.endswith("_H")
-    lac = HAAR_LACUNARY if haar else SMOOTH_LACUNARY
-    nonlac = HAAR_NONLACUNARY if haar else SMOOTH_NONLACUNARY
-    base = kind.value[:-2] if haar else kind.value
-    defaults = {"SS": (lac, lac), "MS": (nonlac, lac), "SM": (lac, nonlac)}
-    want_lac = {"SS": (True, True), "MS": (False, True), "SM": (True, False)}
-    if families is None:
-        return defaults[base]
-    fx, fy = families
-    if (fx.lacunary, fy.lacunary) != want_lac[base]:
-        raise ConfigError(
-            f"{kind.value} requires lacunarity pattern {want_lac[base]}")
-    return fx, fy
 
 
 def _coarse(gx: Grid1D, gy: Grid1D, shape: tuple[int, int], nx: np.ndarray,
@@ -157,93 +116,86 @@ def _coarse(gx: Grid1D, gy: Grid1D, shape: tuple[int, int], nx: np.ndarray,
     return coarse
 
 
-def _square_sum_2d(gx: Grid1D, gy: Grid1D, groups: dict, coeffs: np.ndarray
-                   ) -> np.ndarray:
-    """(sum_R |c_R|^2 / |R| chi_R)^(1/2), assembled one rectangle shape at a time.
+def _assemble(gx: Grid1D, gy: Grid1D, groups: dict, terms: np.ndarray,
+              inner: np.ufunc, transform, outer: np.ufunc) -> np.ndarray:
+    """The grid array built from one term per rectangle, x scale by x scale.
 
-    Each shape scatters |c|^2 2^-(kx+ky) into a coarse array that is added at
-    the resolution of its x scale; the sum is refined in x between x scales.
-    Shapes run coarse to fine, so on the full pyramid every cell adds its
-    terms in the order of the rectangle list."""
+    For each x scale kx, coarse to fine, the terms of its shapes are reduced
+    by inner (add or maximum) over the rectangles I x J that share I, each
+    spread over the y cells of J: one row per x interval of scale kx.  The
+    rows, after transform(rows, kx), are combined by outer with the result so
+    far, refined in x.
+    """
     acc = np.zeros((1, gy.n_points))
-    for kx, ky in sorted(groups, reverse=True):
-        idx, nx, ny = groups[(kx, ky)]
-        coarse = _coarse(gx, gy, (kx, ky), nx, ny)
-        if acc.shape[0] < coarse.shape[0]:
-            acc = np.repeat(acc, coarse.shape[0] // acc.shape[0], axis=0)
-        np.add.at(coarse, (nx, ny),
-                  np.abs(coeffs[idx]) ** 2 * math.ldexp(1.0, -(kx + ky)))
-        acc.reshape(acc.shape[0], -1, gy.n_points // coarse.shape[1])[...] \
-            += coarse[:, :, None]
-    return np.sqrt(np.repeat(acc, gx.n_points // acc.shape[0], axis=0))
-
-
-def _x_scale_rows(gx: Grid1D, gy: Grid1D, groups: dict, terms: np.ndarray,
-                  ufunc: np.ufunc):
-    """For each x scale kx, fine to coarse: kx and the array over (x interval
-    of scale kx, y cell) that reduces terms_R 2^-ky chi_J(y) with ufunc (add
-    or maximum) over the rectangles R = I x J of that x scale."""
-    for kx in sorted({kx for kx, _ in groups}):
+    for kx in sorted({kx for kx, _ in groups}, reverse=True):
         rows = None
         for (sx, ky), (idx, nx, ny) in groups.items():
             if sx != kx:
                 continue
             coarse = _coarse(gx, gy, (kx, ky), nx, ny)
-            ufunc.at(coarse, (nx, ny), terms[idx] * math.ldexp(1.0, -ky))
-            fine = np.repeat(coarse, gy.n_points // coarse.shape[1], axis=1)
-            rows = fine if rows is None else ufunc(rows, fine, out=rows)
-        yield kx, rows
+            inner.at(coarse, (nx, ny), terms[idx])
+            if rows is None:
+                rows = np.zeros((coarse.shape[0], gy.n_points))
+            view = rows.reshape(coarse.shape + (-1,))
+            inner(view, coarse[:, :, None], out=view)
+        rows = transform(rows, kx)
+        view = rows.reshape(acc.shape[0], -1, gy.n_points)
+        outer(view, acc[:, None, :], out=view)
+        acc = rows
+    return np.repeat(acc, gx.n_points // acc.shape[0], axis=0)
+
+
+# lacunary x and y members, inner ufunc, row transform, outer ufunc
+_PLANS = {
+    "SS": (1, 1, np.add, lambda r, kx: r * math.ldexp(1.0, -kx), np.add),
+    "MS": (0, 1, np.add, lambda r, kx: np.sqrt(r) * 2.0 ** (-kx / 2.0), np.maximum),
+    "SM": (1, 0, np.maximum, lambda r, kx: r * math.ldexp(1.0, -kx), np.add),
+    "MM": (0, 0, np.maximum, lambda r, kx: r, np.maximum),
+}
 
 
 def hybrid_2d(h: GridFunction2D, kind: HybridKind,
               rectangles: RectangleTable | Sequence[DyadicRectangle],
-              families: tuple[CutoffFamily, CutoffFamily] | None = None,
               coefficients: np.ndarray | None = None) -> GridFunction2D:
-    """The 2D hybrid operators SS, (SS)^H, MS, (MS)^H, SM, (SM)^H and MM.
+    """The 2D hybrid operators SS, (SS)^H, MS, (MS)^H, SM, (SM)^H and MM:
 
-    rectangles is a dyadic.RectangleTable, or a rectangle sequence that is
-    turned into one.  The rectangle coefficients of h for the kind's families
-    come from wavelets.all_coefficients_2d, unless the caller passes them, in
-    rectangle order, as coefficients.  Every kind but MM is assembled per
-    shape of the table's groups: SS and (SS)^H shape by shape, MS and SM one
-    x scale at a time, reducing over the y scales.
+      SS  (sum_R |c_R|^2 / |R| chi_R)^(1/2),
+      MS  sup_I |I|^(-1/2) (sum_J |c_{I x J}|^2 / |J| chi_J(y))^(1/2) chi_I(x),
+      SM  (sum_I [sup_J |c_{I x J}| / |J| chi_J(y)] / |I| chi_I(x))^(1/2),
+      MM  sup_R (the average of |h| over R) chi_R,
+
+    each one _assemble over the shapes of the rectangles, a
+    dyadic.RectangleTable or a rectangle sequence that is turned into one.
+    SM's inner supremum enters to the first power, exactly as displayed.
+    The coefficients c_R, for the kind's families (Haar for MM and the _H
+    kinds, smooth otherwise; for MM the non-lacunary ones of |h|), come from
+    wavelets.all_coefficients_2d, unless the caller passes them, in rectangle
+    order, as coefficients.
     """
     kind = HybridKind(kind)
     if kind in (HybridKind.M, HybridKind.S):
         raise ConfigError(f"{kind.value} is one-dimensional; use the 1d entry points")
-    if kind == HybridKind.MM:
-        return maximal_function_2d(h, rectangles)
-
-    fx, fy = _hybrid_families(kind, families)
+    base = kind.value[:2]
+    lac_x, lac_y, inner, transform, outer = _PLANS[base]
+    fams = ((HAAR_NONLACUNARY, HAAR_LACUNARY) if kind.value.endswith("_H")
+            or base == "MM" else (SMOOTH_NONLACUNARY, SMOOTH_LACUNARY))
     table = RectangleTable.of(rectangles)
-    groups = table.groups
     if coefficients is None:
-        coeffs = all_coefficients_2d(h, table, fx, fy)
+        src = GridFunction2D(h.grid_x, h.grid_y, np.abs(h.samples)) if base == "MM" else h
+        coeffs = all_coefficients_2d(src, table, fams[lac_x], fams[lac_y])
     elif np.shape(coefficients) != (len(table),):
         raise ConfigError(f"expected {len(table)} rectangle coefficients, "
                           f"got shape {np.shape(coefficients)}")
     else:
         coeffs = coefficients
-    gx, gy = h.grid_x, h.grid_y
-    base = kind.value[:-2] if kind.value.endswith("_H") else kind.value
-
-    if base == "SS":
-        return GridFunction2D(gx, gy, _square_sum_2d(gx, gy, groups, coeffs))
-
-    out = np.zeros((gx.n_points, gy.n_points))
-    if base == "MS":
-        # sup_I |I|^{-1/2} (sum_J |<h, phi_I x psi_J>|^2 / |J| chi_J(y))^{1/2} chi_I(x)
-        for kx, rows in _x_scale_rows(gx, gy, groups, np.abs(coeffs) ** 2, np.add):
-            view = out.reshape(rows.shape[0], -1, gy.n_points)
-            np.maximum(view, (np.sqrt(rows) * 2.0 ** (-kx / 2.0))[:, None, :], out=view)
-        return GridFunction2D(gx, gy, out)
-
-    # SM: (sum_I [sup_J |<h, psi_I x phi_J>| / |J| chi_J(y)] / |I| chi_I(x))^{1/2}
-    # The inner supremum enters to the first power, exactly as displayed.
-    for kx, rows in _x_scale_rows(gx, gy, groups, np.abs(coeffs), np.maximum):
-        view = out.reshape(rows.shape[0], -1, gy.n_points)
-        view += (rows * math.ldexp(1.0, -kx))[:, None, :]
-    return GridFunction2D(gx, gy, np.sqrt(out))
+    if base == "MM":  # the averages c_R / |R|^(1/2)
+        terms = np.abs(coeffs) * 2.0 ** (-(table.kx + table.ky) / 2.0)
+    else:  # |c_R|^2 / |J| or |c_R| / |J|
+        terms = np.abs(coeffs) ** (2 if inner is np.add else 1) * np.ldexp(1.0, -table.ky)
+    out = _assemble(h.grid_x, h.grid_y, table.groups, terms, inner, transform, outer)
+    if outer is np.add:
+        np.sqrt(out, out=out)
+    return GridFunction2D(h.grid_x, h.grid_y, out)
 
 
 def estimate_operator_norm(kind: HybridKind, p: float, trials: int, seed: int,

@@ -53,17 +53,14 @@ _MODULATION = 1.5  # center frequency of the lacunary profile, in units 1/|I|
 
 @dataclass(frozen=True)
 class CutoffFamily:
-    """One of the four cutoff kinds, with smooth-profile parameters."""
+    """One of the four cutoff kinds."""
 
     kind: str  # haar_lacunary | haar_nonlacunary | smooth_lacunary | smooth_nonlacunary
-    decay: int = 10  # adaptedness order M checked in tests; profiles beat any M
 
     def __post_init__(self):
         if self.kind not in ("haar_lacunary", "haar_nonlacunary",
                              "smooth_lacunary", "smooth_nonlacunary"):
             raise ConfigError(f"unknown family kind {self.kind!r}")
-        if self.kind.startswith("smooth") and self.decay < 2:
-            raise ConfigError("decay order must be >= 2")
 
     @property
     def lacunary(self) -> bool:
@@ -89,7 +86,7 @@ class CutoffFamily:
             else:
                 out[a:b] = amp
             return out
-        return smooth_bump(interval, self.lacunary, grid, self.decay)
+        return smooth_bump(interval, self.lacunary, grid)
 
 
 HAAR_LACUNARY = CutoffFamily("haar_lacunary")
@@ -109,11 +106,11 @@ def haar_eval(interval: DyadicInterval, lacunary: bool, x) -> float:
     return amp if Fraction(x) < midpoint else -amp
 
 
-def smooth_bump(interval: DyadicInterval, lacunary: bool, grid: Grid1D,
-                decay: int = 10) -> np.ndarray:
-    """L2-normalized smooth profile adapted to the interval, sampled on the grid."""
-    kind = "smooth_lacunary" if lacunary else "smooth_nonlacunary"
-    return _stacked_members(CutoffFamily(kind, decay), grid, interval.k, [interval.n])[0]
+def smooth_bump(interval: DyadicInterval, lacunary: bool, grid: Grid1D) -> np.ndarray:
+    """L2-normalized smooth profile adapted to the interval, sampled on the grid;
+    its Gaussian envelope beats every polynomial decay order."""
+    family = SMOOTH_LACUNARY if lacunary else SMOOTH_NONLACUNARY
+    return _stacked_members(family, grid, interval.k, [interval.n])[0]
 
 
 def _stacked_members(family: CutoffFamily, grid: Grid1D, k: int,

@@ -193,8 +193,17 @@ def test_weak_type_below_res_exp_6_is_a_config_error(capsys):
     with pytest.raises(ConfigError):
         weak_type_trial(cfg, 0, 5, 2)
     assert cli_main(["weaktype", "--grid-exp", "5", "--depth", "2",
-                     "--trials", "1"]) == 2
+                     "--trials", "1", "--box-exp", "1"]) == 2
     assert "res_exp" in capsys.readouterr().err
+
+
+def test_weak_type_at_box_exp_0_is_a_config_error(capsys):
+    """At box_exp = 0 the set E covers the whole box, and every trial used to
+    print max_ratio: 0.0."""
+    assert cli_main(["weaktype", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: box_exp")
+    assert "Traceback" not in captured.err and "max_ratio" not in captured.out
 
 
 @pytest.mark.parametrize("field", ["c1", "c2", "c3"])
@@ -207,7 +216,7 @@ def test_non_finite_constants_are_config_errors(field, bad):
 def test_cli_rejects_non_finite_constants_in_a_config_file(tmp_path, capsys):
     """c1 = nan and c2 = inf used to run and print max_ratio: 0.0."""
     cfg = tmp_path / "nonfinite.cfg"
-    cfg.write_text("[grid]\nbox_exp = 0\nres_exp = 7\n[model]\ndepth = 4\n"
+    cfg.write_text("[grid]\nbox_exp = 1\nres_exp = 7\n[model]\ndepth = 4\n"
                    "[constants]\nc1 = nan\nc2 = inf\n")
     assert cli_main(["weaktype", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
@@ -229,7 +238,7 @@ def test_cli_rejects_bad_model_fields(model_lines, tmp_path, capsys):
     weak-type sweep (the Haar form is identically zero there) and the
     removed gap field exit 2 with a message and no traceback."""
     cfg = tmp_path / "model.cfg"
-    cfg.write_text("[grid]\nbox_exp = 0\nres_exp = 7\n[run]\ntrials = 1\n"
+    cfg.write_text("[grid]\nbox_exp = 1\nres_exp = 7\n[run]\ntrials = 1\n"
                    f"[model]\ndepth = 4\n{model_lines}\n")
     assert cli_main(["weaktype", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()

@@ -9,8 +9,7 @@ from dyadlab.dyadic import (DyadicInterval, DyadicRectangle, Grid1D,
                             tensor)
 from dyadlab.errors import ConfigError, DomainError, ResolutionError
 from dyadlab.operators import (HybridKind, estimate_operator_norm, hybrid_2d,
-                               maximal_1d, maximal_function, maximal_function_2d,
-                               square_1d)
+                               maximal_function, maximal_function_2d, square_1d)
 from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
                               SMOOTH_NONLACUNARY, all_coefficients,
                               haar_pyramid_2d)
@@ -19,10 +18,10 @@ from dyadlab.wavelets import (HAAR_LACUNARY, HAAR_NONLACUNARY, SMOOTH_LACUNARY,
 def test_maximal_examples():
     g = Grid1D(2, 5)  # box [0,4)
     f = GridFunction1D.indicator(g, [DyadicInterval(0, 0)])
-    assert maximal_1d(f, 0.5) == 1.0
-    assert maximal_1d(GridFunction1D.zeros(g), 1.0) == 0.0
+    assert maximal_function(f).samples[g.cell_of(0.5)] == 1.0
+    assert maximal_function(GridFunction1D.zeros(g)).samples[g.cell_of(1.0)] == 0.0
     # best dyadic interval containing 2.5 and meeting [0,1) is [0,4)
-    assert maximal_1d(f, 2.5) == 0.25
+    assert maximal_function(f).samples[g.cell_of(2.5)] == 0.25
 
 
 def test_maximal_of_constant():
@@ -92,14 +91,12 @@ def test_hybrid_examples():
     assert np.all(ss.samples[b:, :] == 0.0)
 
 
-def test_hybrid_family_mismatch():
+def test_hybrid_rejects_one_dimensional_kinds():
     g = Grid1D(0, 4)
     h = GridFunction2D.zeros(g, g)
-    with pytest.raises(ConfigError):
-        hybrid_2d(h, HybridKind.SS, [_unit_square_rect()],
-                  (SMOOTH_NONLACUNARY, SMOOTH_LACUNARY))
-    with pytest.raises(ConfigError):
-        hybrid_2d(h, HybridKind.M, [_unit_square_rect()])
+    for kind in (HybridKind.M, HybridKind.S):
+        with pytest.raises(ConfigError):
+            hybrid_2d(h, kind, [_unit_square_rect()])
 
 
 def test_mm_bounded_by_sup():
@@ -247,7 +244,7 @@ def test_square_per_shape_rejects_unresolved_rectangles():
     h = GridFunction2D.zeros(g, g)
     fine = DyadicRectangle(DyadicInterval(-4, 0), DyadicInterval(0, 0))
     outside = DyadicRectangle(DyadicInterval(0, 1), DyadicInterval(0, 0))
-    for kind in ("SS", "SS_H", "MS", "MS_H", "SM", "SM_H"):
+    for kind in ("SS", "SS_H", "MS", "MS_H", "SM", "SM_H", "MM"):
         with pytest.raises(ResolutionError):
             hybrid_2d(h, kind, [fine])
         with pytest.raises(DomainError):
@@ -298,4 +295,54 @@ def test_max_square_per_shape_matches_per_rectangle(bx, rx, by, ry, seed, kind):
     want = _hybrid_per_rectangle(h, rects, kind)
     got = hybrid_2d(h, kind, rects).samples
     assert np.max(want) > 0
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(want)))
+
+
+def _mm_per_rectangle(h, rects) -> np.ndarray:
+    """sup_R (average of |h| over R) chi_R, one rectangle slice at a time."""
+    out = np.zeros(h.samples.shape)
+    for r in rects:
+        a, b = h.grid_x.cell_range(r.x)
+        c0, c1 = h.grid_y.cell_range(r.y)
+        avg = np.abs(h.samples[a:b, c0:c1]).mean()
+        np.maximum(out[a:b, c0:c1], avg, out=out[a:b, c0:c1])
+    return out
+
+
+@given(st.integers(0, 1), st.integers(1, 4), st.integers(0, 1), st.integers(1, 4),
+       st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_mm_per_shape_matches_per_rectangle(bx, rx, by, ry, seed):
+    """MM over a shuffled rectangle list with repeats, single cells included,
+    against the per-rectangle supremum of block averages."""
+    gx, gy = Grid1D(bx, rx), Grid1D(by, ry)
+    rng = np.random.default_rng(seed)
+    h = GridFunction2D(gx, gy, rng.standard_normal((gx.n_points, gy.n_points)))
+    rects = [DyadicRectangle(i, j) for i in enumerate_dyadic(gx, -rx, bx)
+             for j in enumerate_dyadic(gy, -ry, by)]
+    rects = [rects[int(i)] for i in rng.integers(0, len(rects), len(rects))]
+    want = _mm_per_rectangle(h, rects)
+    got = hybrid_2d(h, HybridKind.MM, rects).samples
+    assert np.max(want) > 0
+    assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(want))
+
+
+@given(st.integers(0, 2), st.integers(2, 6), st.integers(0, 2 ** 31 - 1),
+       st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_square_1d_matches_per_interval(box, res, seed, haar):
+    """S as one synthesis against the per-interval sum of |c_I|^2 / |I| chi_I,
+    over a shuffled interval list with repeats."""
+    g = Grid1D(box, res)
+    rng = np.random.default_rng(seed)
+    f = GridFunction1D(g, rng.standard_normal(g.n_points))
+    ivs = enumerate_dyadic(g, 1 - res, box)
+    ivs = [ivs[int(i)] for i in rng.integers(0, len(ivs), len(ivs))]
+    family = HAAR_LACUNARY if haar else SMOOTH_LACUNARY
+    want = np.zeros(g.n_points)
+    for iv, c in zip(ivs, all_coefficients(f, ivs, family)):
+        a, b = g.cell_range(iv)
+        want[a:b] += c ** 2 / float(iv.length)
+    want = np.sqrt(want)
+    got = square_1d(f, ivs, family).samples
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(want)))

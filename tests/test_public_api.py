@@ -32,7 +32,6 @@ CALLER_DIRS = ("src/dyadlab", "scripts", "perfbench")
 TEST_ONLY = {
     "dyadic": {"tensor"},
     "wavelets": {"haar_eval", "band_energy_fraction"},
-    "operators": {"maximal_1d"},
     "size_energy": {"bmo_norm", "size_energy_bound_check", "weak_l1_norm"},
     "stopping": {"tensor_decomposition_II", "level_set_decomposition_2d",
                  "check_index_observation_II"},
@@ -76,3 +75,21 @@ def test_every_public_definition_has_a_caller(name):
                     or inspect.isclass(getattr(module, n)))
                 and (name, n) not in _used_names()}
     assert uncalled == TEST_ONLY.get(name, set())
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/dyadlab").glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    """Every name a package module imports is used in the module, as a bare
+    name or as the base of an attribute, or is listed in its __all__."""
+    tree = ast.parse(path.read_text())
+    imported = {(a.asname or a.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for elt in node.value.elts}
+    assert imported - used - exported == set()

@@ -245,7 +245,7 @@ class TestSmoothBumps:
 
     def test_decay(self):
         # |phi(x)| <= C (1 + dist(x, I)/|I|)^{-M} checked at a far point
-        member = smooth_bump(DyadicInterval(-1, 0), False, self.grid, decay=10)
+        member = smooth_bump(DyadicInterval(-1, 0), False, self.grid)
         peak = float(np.max(np.abs(member)))
         x_cell = self.grid.cell_of(4)
         dist_ratio = (4 - 0.5) / 0.5
@@ -256,10 +256,6 @@ class TestSmoothBumps:
         nonlac = smooth_bump(self.interval, False, self.grid)
         assert band_energy_fraction(lac, self.grid, self.interval, True) >= 0.99
         assert band_energy_fraction(nonlac, self.grid, self.interval, False) >= 0.99
-
-    def test_decay_order_validated(self):
-        with pytest.raises(ConfigError):
-            smooth_bump(self.interval, False, self.grid, decay=1)
 
 
 def _smooth_profile_reference(interval, lacunary, grid):
